@@ -1,5 +1,5 @@
 // Command slpsweep runs a full experimental campaign — the Cartesian
-// product of topology, protocol, search-distance, attacker, loss-model,
+// product of topology, protocol, search-distance, attacker, channel,
 // collision and fault-injection axes — through one shared worker pool, streaming one
 // result row per cell to a JSONL or CSV sink. The paper's whole
 // evaluation is one invocation:
@@ -26,8 +26,7 @@
 //	         [-protocols protectionless,slp-das,phantom,fake-source,tier] [-sd 1,3]
 //	         [-attackers R,H,M[;R,H,M...]] [-strategies first-heard,cautious,...]
 //	         [-nattackers 1,2,3] [-shared-history false,true]
-//	         [-loss ideal,bernoulli:<p>,rssi]
-//	         [-channels ideal,logdist:<n>:<sigma>[@sinr:<t>],...]
+//	         [-channels ideal,bernoulli:<p>,rssi,logdist:<n>:<sigma>[@sinr:<t>],...]
 //	         [-collisions false,true]
 //	         [-faults none,crash:<rate>,churn:<rate>:<mttr>,link:<rate>,blackout:<r>@<p>]
 //	         [-energy none,battery:<capacity>[:<tx>:<rx>:<idle>]]
@@ -65,8 +64,7 @@ func run(args []string) int {
 		"comma-separated attacker strategies: "+strings.Join(attacker.StrategyNames(), ", "))
 	countArg := fs.String("nattackers", "1", "comma-separated eavesdropper team sizes")
 	sharedArg := fs.String("shared-history", "false", "comma-separated shared-H-window settings: false, true")
-	lossArg := fs.String("loss", "ideal", "comma-separated channel models: ideal, bernoulli:<p> with p in [0,1], rssi")
-	channelsArg := fs.String("channels", "", "comma-separated channel axis superseding -loss: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
+	channelsArg := fs.String("channels", "ideal", "comma-separated channel axis: ideal, bernoulli:<p> with p in [0,1], rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
 	collArg := fs.String("collisions", "false", "comma-separated collision settings: false, true")
 	faultsArg := fs.String("faults", "none", "comma-separated fault-injection axis: none, crash:<rate>, churn:<rate>:<mttr>, link:<rate>, blackout:<r>@<p>")
 	energyArg := fs.String("energy", "none", "comma-separated energy axis: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
@@ -87,7 +85,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	spec, err := buildSpec(*sizesArg, *topoArg, *protoArg, *sdArg, *atkArg, *stratArg, *countArg, *sharedArg, *lossArg, *channelsArg, *collArg, *faultsArg, *energyArg)
+	spec, err := buildSpec(*sizesArg, *topoArg, *protoArg, *sdArg, *atkArg, *stratArg, *countArg, *sharedArg, *channelsArg, *collArg, *faultsArg, *energyArg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slpsweep: %v\n", err)
 		return 2
@@ -268,7 +266,7 @@ func resolveFormat(format, out string) string {
 	return "jsonl"
 }
 
-func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts, shared, losses, channels, collisions, faults, energy string) (campaign.Spec, error) {
+func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts, shared, channels, collisions, faults, energy string) (campaign.Spec, error) {
 	var spec campaign.Spec
 	var err error
 	if spec.GridSizes, err = parseInts(sizes); err != nil {
@@ -291,7 +289,6 @@ func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts,
 	if spec.SharedHistories, err = parseBools(shared); err != nil {
 		return spec, fmt.Errorf("-shared-history: %w", err)
 	}
-	spec.LossModels = splitList(losses)
 	spec.Channels = splitList(channels)
 	if spec.Collisions, err = parseBools(collisions); err != nil {
 		return spec, fmt.Errorf("-collisions: %w", err)

@@ -147,7 +147,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		"bad shard index":    {"-shard", "x/3", "-quiet"},
 		"shard out of range": {"-shard", "3/3", "-quiet"},
 		"shard count zero":   {"-shard", "2/0", "-quiet"},
-		"bad loss nan":       {"-loss", "bernoulli:NaN", "-quiet"},
+		"bad loss nan":       {"-channels", "bernoulli:NaN", "-quiet"},
 		"bad path cap":       {"-path-cap", "sometimes", "-quiet"},
 		"negative path cap":  {"-path-cap", "-3", "-quiet"},
 	} {
@@ -156,7 +156,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		}
 	}
 	// bernoulli:1 (total loss) is legal and must run to completion.
-	if code := run([]string{"-sizes", "5", "-sd", "1", "-repeats", "1", "-loss", "bernoulli:1", "-quiet", "-out", filepath.Join(t.TempDir(), "x.jsonl")}); code != 0 {
+	if code := run([]string{"-sizes", "5", "-sd", "1", "-repeats", "1", "-channels", "bernoulli:1", "-quiet", "-out", filepath.Join(t.TempDir(), "x.jsonl")}); code != 0 {
 		t.Error("bernoulli:1 rejected, want success")
 	}
 }

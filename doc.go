@@ -3,8 +3,8 @@
 // Jhumka — ICDCS 2017) as a complete, self-contained Go system:
 //
 //   - a deterministic discrete-event WSN simulator (TOSSIM substitute)
-//     with a unit-disk radio, loss models and a TDMA MAC
-//     (internal/des, internal/radio, internal/mac);
+//     with a unit-disk radio, pluggable channel models and a TDMA MAC
+//     (internal/des, internal/radio, internal/channel, internal/mac);
 //   - the paper's guarded-command program model (internal/gcn) running
 //     the protectionless DAS protocol (Figure 2) and the 3-phase
 //     SLP-aware DAS protocol (Figures 2–4) (internal/core);
@@ -16,8 +16,8 @@
 //     Figure 5, Table I and the message-overhead claim
 //     (internal/experiment);
 //   - a campaign engine (internal/campaign) that expands declarative
-//     axes — topologies, protocols, search distances, attackers, loss
-//     models, collisions — into the full Cartesian job matrix, runs it
+//     axes — topologies, protocols, search distances, attackers,
+//     channels, collisions — into the full Cartesian job matrix, runs it
 //     through one shared worker pool and streams per-cell rows to JSONL
 //     or CSV sinks with durable checkpoints; campaigns resume after a
 //     kill and shard across processes or machines with byte-identical

@@ -1,6 +1,6 @@
 // Package campaign is the sweep engine above internal/experiment: it
 // expands a declarative Spec — axes of topologies, protocols, search
-// distances, attacker strengths, loss models and collision settings —
+// distances, attacker strengths, channels and collision settings —
 // into the full Cartesian job matrix of experimental cells, executes every
 // repeat of every cell through one shared bounded worker pool, and streams
 // one summary Row per cell to pluggable sinks (JSONL, CSV, in-memory) as
@@ -80,17 +80,12 @@ type Spec struct {
 	AttackerCounts []int
 	// SharedHistories is the pooled-H-window axis. Default {false}.
 	SharedHistories []bool
-	// LossModels is the legacy channel axis: "ideal", "bernoulli:<p>",
-	// "rssi". Default {"ideal"}. Superseded by Channels when that is
-	// non-empty; both feed the same loss_model row column.
-	LossModels []string
 	// Channels is the physical-channel axis in the internal/channel
-	// grammar, which extends the LossModels values with log-distance path
-	// loss, shadowing and SINR capture
-	// ("logdist:<n>:<sigma>[@sinr:<threshold>]"). When non-empty it
-	// replaces LossModels as the channel axis; specs are canonicalised
-	// through channel.Parse/Spec at Expand, and the canonical string lands
-	// in the row's loss_model column.
+	// grammar: "ideal", "bernoulli:<p>", "rssi" and log-distance path
+	// loss with shadowing and optional SINR capture
+	// ("logdist:<n>:<sigma>[@sinr:<threshold>]"). Default {"ideal"}.
+	// Specs are canonicalised through channel.Parse/Spec at Expand, and
+	// the canonical string lands in the row's loss_model column.
 	Channels []string
 	// Collisions is the receiver-side collision axis. Default {false}.
 	Collisions []bool
@@ -219,8 +214,8 @@ func (s Spec) withDefaults() Spec {
 	if len(s.SharedHistories) == 0 {
 		s.SharedHistories = []bool{false}
 	}
-	if len(s.LossModels) == 0 {
-		s.LossModels = []string{"ideal"}
+	if len(s.Channels) == 0 {
+		s.Channels = []string{"ideal"}
 	}
 	if len(s.Collisions) == 0 {
 		s.Collisions = []bool{false}
@@ -235,16 +230,6 @@ func (s Spec) withDefaults() Spec {
 		s.Repeats = 10
 	}
 	return s
-}
-
-// channelAxis is the effective physical-channel axis: Channels when set,
-// else the legacy LossModels (withDefaults guarantees that one is
-// non-empty). Both land in Cell.LossModel and the loss_model column.
-func (s Spec) channelAxis() []string {
-	if len(s.Channels) > 0 {
-		return s.Channels
-	}
-	return s.LossModels
 }
 
 func (s Spec) topologyAxis() []TopologySpec {
@@ -319,9 +304,9 @@ type AttackerSetup struct {
 // distance, attacker setup, channel spec, collisions, fault spec, energy
 // spec — onto a validated core.Config. It is the single protocol-name
 // switch shared by the campaign engine and the slpdas facade.
-// channelSpec uses the internal/channel grammar (which subsumes the old
-// loss-model syntax); faults the fault.Parse grammar; energySpec the
-// energy.Parse grammar. "" and "none" mean off for the latter two.
+// channelSpec uses the internal/channel grammar; faults the fault.Parse
+// grammar; energySpec the energy.Parse grammar. "" and "none" mean off
+// for the latter two.
 func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channelSpec string, collisions bool, faults, energySpec string) (core.Config, error) {
 	fam, err := protocol.ByName(protoName)
 	if err != nil {
@@ -329,7 +314,6 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 	}
 	cfg := core.Default()
 	cfg.Protocol = fam.Name()
-	cfg.SLP = fam.Name() == protocol.NameSLPDAS
 	// The SD coordinate only lands in the config for families it
 	// parameterises; others keep the Table I default, exactly as the
 	// pre-registry switch left protectionless untouched.
@@ -375,9 +359,8 @@ func (s Spec) Expand() ([]Cell, error) {
 	if s.Repeats < 0 {
 		return nil, fmt.Errorf("campaign: repeats must be positive, got %d", s.Repeats)
 	}
-	chAxis := s.channelAxis()
-	channelAxis := make([]string, len(chAxis))
-	for i, c := range chAxis {
+	channelAxis := make([]string, len(s.Channels))
+	for i, c := range s.Channels {
 		m, err := channel.Parse(c)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)

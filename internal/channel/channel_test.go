@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -76,8 +77,13 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"bernoulli:0.5:1",
 		"bernoulli:-0.1",
 		"bernoulli:1.1",
+		"bernoulli:1.0001",
+		"bernoulli:x",
 		"bernoulli:NaN",
+		"bernoulli:nan",
+		"bernoulli:Inf",
 		"bernoulli:+Inf",
+		"bernoulli:-Inf",
 		"logdist",
 		"logdist:",
 		"logdist:2.4",
@@ -100,6 +106,66 @@ func TestParseRejectsGarbage(t *testing.T) {
 	} {
 		if m, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted garbage as %q", bad, m.Spec())
+		}
+	}
+}
+
+// TestParseLossModelSpellings replays every spelling the former loss-model
+// flag accepted or rejected through Parse, so none of them changes meaning
+// under the channel grammar. Of note is the regression where
+// strconv.ParseFloat let "bernoulli:NaN" through: NaN fails both range
+// comparisons, and r.Float64() < NaN is always false, so the channel
+// silently behaved as ideal while reporting itself bernoulli. Surrounding
+// whitespace is the one difference: Parse trims it (TestParseNonCanonical).
+func TestParseLossModelSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want string // expected Spec(); "" = must error
+	}{
+		{"", "ideal"},
+		{"ideal", "ideal"},
+		{"rssi", "rssi"},
+		{"bernoulli:0", "bernoulli:0"},
+		{"bernoulli:0.5", "bernoulli:0.5"},
+		// p = 1 is the documented total-blackout stress case.
+		{"bernoulli:1", "bernoulli:1"},
+		{"bernoulli:1.0", "bernoulli:1"},
+		// Non-finite probabilities must be rejected, in every spelling
+		// ParseFloat accepts.
+		{"bernoulli:NaN", ""},
+		{"bernoulli:nan", ""},
+		{"bernoulli:+Inf", ""},
+		{"bernoulli:-Inf", ""},
+		{"bernoulli:Inf", ""},
+		{"bernoulli:-0.1", ""},
+		{"bernoulli:1.0001", ""},
+		{"bernoulli:", ""},
+		{"bernoulli:x", ""},
+		{"bogus", ""},
+		// Trailing garbage must be rejected, not silently truncated.
+		{"bernoulli:0.5x", ""},
+		{"bernoulli:0.5:", ""},
+		{"bernoulli:0.5:0.5", ""},
+		{"rssi2", ""},
+		{"rssi:", ""},
+		{"rssi:1", ""},
+		{"ideal:1", ""},
+		{"ideal:", ""},
+		{"idealx", ""},
+	} {
+		m, err := Parse(tc.in)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("Parse(%q) accepted, got %s", tc.in, m.Spec())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.in, err)
+			continue
+		}
+		if got := m.Spec(); got != tc.want {
+			t.Errorf("Parse(%q).Spec() = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
@@ -262,4 +328,47 @@ func TestStatelessModels(t *testing.T) {
 	if r1.Uint64() != r2.Uint64() {
 		t.Error("rssi.Lost draw sequence diverges from one NormFloat64 per call")
 	}
+}
+
+// TestBernoulliExtremes: the admitted bounds really mean what they say —
+// p=0 never loses a frame, p=1 loses every frame.
+func TestBernoulliExtremes(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 1000; i++ {
+		if (Bernoulli{P: 0}).Lost(0, 1, 1, r) {
+			t.Fatal("bernoulli:0 lost a frame")
+		}
+		if !(Bernoulli{P: 1}).Lost(0, 1, 1, r) {
+			t.Fatal("bernoulli:1 delivered a frame")
+		}
+	}
+}
+
+// FuzzChannelParse: Parse never panics, every accepted spec re-parses
+// from its canonical Spec() to the same Spec(), and no input yields a
+// bernoulli channel with a non-finite or out-of-range probability.
+func FuzzChannelParse(f *testing.F) {
+	for _, s := range []string{
+		"ideal", "rssi", "bernoulli:0.5", "bernoulli:NaN", "bernoulli:+Inf", "bernoulli:1", "bernoulli:1e-3",
+		"logdist:2.4:4", "logdist:2.4:4@sinr:3", "logdist:2.4:4@sinr:NaN", " ideal ", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := Parse(s)
+		if err != nil {
+			return
+		}
+		spec := m.Spec()
+		again, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its Spec %q does not re-parse: %v", s, spec, err)
+		}
+		if got := again.Spec(); got != spec {
+			t.Errorf("Parse(%q).Spec() = %q, but Parse(%q).Spec() = %q", s, spec, spec, got)
+		}
+		if b, ok := m.(Bernoulli); ok && !(b.P >= 0 && b.P <= 1) { // NaN fails this form too
+			t.Errorf("Parse(%q) produced bernoulli p=%v outside [0,1]", s, b.P)
+		}
+	})
 }

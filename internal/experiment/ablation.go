@@ -2,12 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"slpdas/internal/attacker"
+	"slpdas/internal/channel"
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
-	"slpdas/internal/radio"
 	"slpdas/internal/topo"
 	"slpdas/internal/verify"
 )
@@ -192,25 +191,21 @@ type LossModelPoint struct {
 	ScheduleValid metrics.Proportion
 }
 
-// LossModelSweep measures SLP DAS robustness across channel models.
-func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, workers int, models map[string]radio.LossModel) ([]LossModelPoint, error) {
-	if models == nil {
-		models = map[string]radio.LossModel{
-			"ideal":          radio.Ideal{},
-			"bernoulli-0.05": radio.Bernoulli{P: 0.05},
-			"rssi-noise":     radio.DefaultRSSINoise(),
+// LossModelSweep measures SLP DAS robustness across channel specs (the
+// internal/channel grammar), in the given order; nil means ideal,
+// bernoulli:0.05 and rssi. Points are labelled with the canonical spec.
+func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, workers int, channels []string) ([]LossModelPoint, error) {
+	if channels == nil {
+		channels = []string{"ideal", "bernoulli:0.05", "rssi"}
+	}
+	out := make([]LossModelPoint, 0, len(channels))
+	for _, spec := range channels {
+		m, err := channel.Parse(spec)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: loss sweep: %w", err)
 		}
-	}
-	names := make([]string, 0, len(models))
-	for name := range models {
-		names = append(names, name)
-	}
-	// Sort for deterministic output order.
-	sort.Strings(names)
-	out := make([]LossModelPoint, 0, len(models))
-	for _, name := range names {
 		cfg := core.DefaultSLP(searchDistance)
-		cfg.Loss = models[name]
+		cfg.Channel = m.Spec()
 		agg, err := Run(Spec{
 			GridSize: gridSize,
 			Config:   cfg,
@@ -219,10 +214,10 @@ func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, work
 			Workers:  workers,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiment: loss sweep %q: %w", name, err)
+			return nil, fmt.Errorf("experiment: loss sweep %q: %w", cfg.Channel, err)
 		}
 		out = append(out, LossModelPoint{
-			Model:         name,
+			Model:         cfg.Channel,
 			CaptureRatio:  agg.CaptureRatio,
 			ScheduleValid: agg.ScheduleValid,
 		})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"slpdas/internal/core"
-	"slpdas/internal/radio"
 	"slpdas/internal/verify"
 )
 
@@ -66,19 +65,19 @@ func TestAttackerSweepMonotoneInStrength(t *testing.T) {
 }
 
 func TestLossModelSweep(t *testing.T) {
-	points, err := LossModelSweep(5, 2, 2, 9, 0, map[string]radio.LossModel{
-		"ideal":     radio.Ideal{},
-		"bern-0.05": radio.Bernoulli{P: 0.05},
-	})
+	points, err := LossModelSweep(5, 2, 2, 9, 0, []string{"bernoulli:0.050", "ideal"})
 	if err != nil {
 		t.Fatalf("LossModelSweep: %v", err)
 	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
-	// Deterministic alphabetical order.
-	if points[0].Model != "bern-0.05" || points[1].Model != "ideal" {
+	// Input order, labelled with the canonical spec.
+	if points[0].Model != "bernoulli:0.05" || points[1].Model != "ideal" {
 		t.Errorf("order = %s, %s", points[0].Model, points[1].Model)
+	}
+	if _, err := LossModelSweep(5, 2, 1, 9, 0, []string{"bernoulli:2"}); err == nil {
+		t.Error("bad channel spec accepted")
 	}
 	tbl := LossModelTable(points).String()
 	if !strings.Contains(tbl, "channel model") {

@@ -45,9 +45,6 @@ type Figure5Spec struct {
 	Repeats        int
 	BaseSeed       uint64
 	Workers        int
-	// Mutate, when non-nil, adjusts each cell's config (used by the
-	// ablation benches for loss models and attacker strength).
-	Mutate func(*core.Config)
 }
 
 // RunFigure5 executes the full sweep.
@@ -59,11 +56,6 @@ func RunFigure5(spec Figure5Spec) (*Figure5, error) {
 	for _, size := range spec.GridSizes {
 		protCfg := core.Default()
 		slpCfg := core.DefaultSLP(spec.SearchDistance)
-		if spec.Mutate != nil {
-			spec.Mutate(&protCfg)
-			spec.Mutate(&slpCfg)
-			slpCfg.SLP = true
-		}
 		prot, err := Run(Spec{GridSize: size, Config: protCfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed, Workers: spec.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fig5 size %d protectionless: %w", size, err)

@@ -73,7 +73,7 @@ type Stats struct {
 	Broadcasts     uint64 // frames transmitted
 	BytesSent      uint64 // payload bytes transmitted
 	Deliveries     uint64 // frame receptions delivered to receivers
-	LossDrops      uint64 // receptions dropped by the loss model
+	LossDrops      uint64 // receptions dropped by the channel model
 	CollisionDrops uint64 // receptions dropped by collisions
 	CaptureWins    uint64 // receptions delivered despite interference (SINR capture)
 	SINRDrops      uint64 // receptions dropped by the SINR capture test
@@ -294,13 +294,6 @@ type Option func(*Medium)
 // WithChannel selects the physical channel model (default channel.Ideal).
 func WithChannel(ch channel.Model) Option {
 	return func(r *Medium) { r.ch = ch }
-}
-
-// WithLossModel selects a legacy binary loss model, adapted onto the
-// channel interface (default Ideal). Kept for the pre-channel-registry
-// call sites; new code should use WithChannel.
-func WithLossModel(m LossModel) Option {
-	return func(r *Medium) { r.ch = FromLossModel(m) }
 }
 
 // WithEnergyMeter attaches the per-node energy meter charged for every

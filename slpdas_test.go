@@ -48,10 +48,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestParseLossModel(t *testing.T) {
-	for _, s := range []string{"", "ideal", "rssi", "bernoulli:0.25"} {
-		if _, err := ParseLossModel(s); err != nil {
-			t.Errorf("ParseLossModel(%q): %v", s, err)
+func TestSimConfigAcceptsChannelSpecs(t *testing.T) {
+	for _, s := range []string{"", "ideal", "rssi", "bernoulli:0.25", "logdist:2.4:4@sinr:3"} {
+		if _, err := (SimConfig{LossModel: s}).withDefaults().coreConfig(); err != nil {
+			t.Errorf("SimConfig{LossModel: %q}: %v", s, err)
 		}
 	}
 }
