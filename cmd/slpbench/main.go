@@ -328,7 +328,7 @@ func benchBroadcast(collisions, observed bool) func(b *testing.B) {
 		sim := des.New()
 		m := radio.New(sim, g, 1, radio.WithCollisions(collisions))
 		for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-			m.SetReceiver(n, func(topo.NodeID, []byte) {})
+			m.SetReceiver(n, func(topo.NodeID, uint64, []byte) {})
 		}
 		centre := topo.GridCentre(11)
 		if observed {
@@ -365,7 +365,7 @@ func benchSINRDelivery(b *testing.B) {
 	sim := des.New()
 	m := radio.New(sim, g, 1, radio.WithChannel(ch))
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(topo.NodeID, []byte) {})
+		m.SetReceiver(n, func(topo.NodeID, uint64, []byte) {})
 	}
 	centre := topo.GridCentre(11)
 	rival := g.Neighbors(centre)[0]

@@ -75,6 +75,11 @@ type Network struct {
 
 	msgStats     [msgStatsSlots]MsgStats
 	decodeErrors uint64
+	// rxFrame is the radio frame id dec decoded last and rxMsg the result
+	// (nil if it failed to decode): every delivery of one broadcast
+	// reuses that one decode (see decode).
+	rxFrame      uint64
+	rxMsg        wire.Message
 	changedNodes int
 	searchSent   bool
 
@@ -301,6 +306,8 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 
 	n.msgStats = [msgStatsSlots]MsgStats{}
 	n.decodeErrors = 0
+	n.rxFrame = 0 // frame ids restart with the medium's Reset
+	n.rxMsg = nil
 	n.changedNodes = 0
 	n.searchSent = false
 	n.sourceDeliveries = 0
@@ -518,7 +525,7 @@ func (n *Network) rankKey(parent, competitor topo.NodeID) uint64 {
 }
 
 // orderKey is the per-run total order replacing raw node IDs in
-// collision-resolution tie-breaks (see node.collisionLoser).
+// collision-resolution tie-breaks (see node.yieldsTo).
 func (n *Network) orderKey(id topo.NodeID) uint64 {
 	return xrand.Mix(n.seed, 0x6f726465, uint64(id))
 }
@@ -527,6 +534,21 @@ func (n *Network) orderKey(id topo.NodeID) uint64 {
 // minimum-hop potential parents (see node.chooseSlot).
 func (n *Network) parentKey(child, parent topo.NodeID) uint64 {
 	return xrand.Mix(n.seed, 0x70617265, uint64(child), uint64(parent))
+}
+
+// decode returns the message carried by radio frame `frame`, or nil if the
+// payload does not decode. A broadcast's deliveries all carry the same
+// frame id, so only the first of them runs the decoder; the rest reuse its
+// scratch message, which no receive handler modifies and which stays
+// valid until a different frame is decoded.
+//
+//slp:hotpath
+func (n *Network) decode(frame uint64, payload []byte) wire.Message {
+	if frame != n.rxFrame {
+		n.rxFrame = frame
+		n.rxMsg, _ = n.dec.Unmarshal(payload)
+	}
+	return n.rxMsg
 }
 
 // broadcast marshals and transmits a protocol message, accounting stats.

@@ -21,11 +21,9 @@ type info struct {
 const noValue int32 = wire.NoSlot // ⊥
 
 // infoTable is a node's Ninfo: (hop, slot, version) entries keyed by node
-// ID, stored as parallel slices kept sorted by ID. The table is consulted
-// on every guard evaluation of the GCN run-to-quiescence loop (the
-// collision-resolution guard scans it after every delivered message), so
-// it is built for allocation-free sorted iteration — the map + sort.Slice
-// it replaces was the simulator's single hottest call site.
+// ID, stored as parallel slices kept sorted by ID, so lookups are a binary
+// search and scans are allocation-free sorted iteration — the map +
+// sort.Slice it replaces was the simulator's single hottest call site.
 type infoTable struct {
 	ids   []topo.NodeID
 	infos []info
@@ -86,6 +84,11 @@ type node struct {
 	slot     int32                                // ⊥ = noValue
 	normal   bool                                 // false during the update phase
 	version  uint32                               // own state freshness
+	// losers counts the ninfo entries this node must yield to under the
+	// collision rule (see yieldsTo): the resolve guard is losers > 0.
+	// onDissem adjusts it per merged entry; setSlot and sinkInit recount
+	// it because they move the node's own side of the comparison.
+	losers int
 
 	dissem       *gcn.Timer // lint:immutable: pointer fixed; timer disarmed by the engine reset
 	decide       *gcn.Timer // lint:immutable: pointer fixed; defers the process action one dissem round
@@ -130,9 +133,9 @@ func newNode(id topo.NodeID, net *Network) *node {
 	n.prc = net.engine.NewProcess(id)
 	n.install()
 	// Radio → GCN delivery is wiring, not run state: register once.
-	net.medium.SetReceiver(id, func(from topo.NodeID, payload []byte) {
-		msg, err := net.dec.Unmarshal(payload)
-		if err != nil {
+	net.medium.SetReceiver(id, func(from topo.NodeID, frame uint64, payload []byte) {
+		msg := net.decode(frame, payload)
+		if msg == nil {
 			net.decodeErrors++
 			return
 		}
@@ -158,6 +161,7 @@ func (n *node) reset(seed uint64) {
 	n.slot = noValue
 	n.normal = true
 	n.version = 0
+	n.losers = 0
 	n.dissemBudget = 0
 	clear(n.from)
 	n.startNode = false
@@ -179,7 +183,7 @@ func (n *node) install() {
 	p := n.prc
 
 	// rcv⟨HELLO⟩: neighbour discovery.
-	p.AddReceive("rcvHello", matchType(wire.TypeHello), func(sender topo.NodeID, _ gcn.Message) {
+	p.AddReceive("rcvHello", matchHello, func(sender topo.NodeID, _ gcn.Message) {
 		n.addNeighbour(sender)
 		// A HELLO during the data phase is a recovered node re-running
 		// discovery (fault injection): neighbours holding schedule state
@@ -192,27 +196,27 @@ func (n *node) install() {
 	})
 
 	// receiveN :: rcv⟨DISSEM, 1, j, N, p⟩ (Figure 2).
-	p.AddReceive("receiveN", matchDissem(true), func(sender topo.NodeID, m gcn.Message) {
+	p.AddReceive("receiveN", matchNormal, func(sender topo.NodeID, m gcn.Message) {
 		n.onDissem(sender, m.(*wire.Dissem))
 	})
 
 	// receiveU :: rcv⟨DISSEM, 0, j, N, p⟩ (Figure 2): update from parent.
-	p.AddReceive("receiveU", matchDissem(false), func(sender topo.NodeID, m gcn.Message) {
+	p.AddReceive("receiveU", matchUpdate, func(sender topo.NodeID, m gcn.Message) {
 		n.onDissem(sender, m.(*wire.Dissem))
 	})
 
 	// receiveS :: rcv⟨SEARCH, k, j, d⟩ (Figure 3).
-	p.AddReceive("receiveS", matchType(wire.TypeSearch), func(sender topo.NodeID, m gcn.Message) {
+	p.AddReceive("receiveS", matchSearch, func(sender topo.NodeID, m gcn.Message) {
 		n.onSearch(sender, m.(*wire.Search))
 	})
 
 	// receiveC :: rcv⟨CHANGE, p, j, s, d⟩ (Figure 4).
-	p.AddReceive("receiveC", matchType(wire.TypeChange), func(sender topo.NodeID, m gcn.Message) {
+	p.AddReceive("receiveC", matchChange, func(sender topo.NodeID, m gcn.Message) {
 		n.onChange(sender, m.(*wire.Change))
 	})
 
 	// rcv⟨DATA⟩: data-phase aggregation bookkeeping.
-	p.AddReceive("rcvData", matchType(wire.TypeData), func(sender topo.NodeID, m gcn.Message) {
+	p.AddReceive("rcvData", matchData, func(sender topo.NodeID, m gcn.Message) {
 		n.onData(sender, m.(*wire.Data))
 	})
 
@@ -229,7 +233,7 @@ func (n *node) install() {
 	// stays invalid and is reported as such), not spin firing a no-op
 	// action until the step budget kills the process. Grids deep enough
 	// to exhaust the slot space hit this; Table I's never do.
-	p.AddGuard("resolve", func() bool { return n.slot > 0 && n.collisionLoser() != topo.None }, func() {
+	p.AddGuard("resolve", func() bool { return n.slot > 0 && n.losers > 0 }, func() {
 		n.setSlot(n.resolveTarget())
 	})
 
@@ -239,6 +243,16 @@ func (n *node) install() {
 	// dissem :: timeout(dissem) (Figure 2): periodic state broadcast.
 	n.dissem = p.NewTimer("dissem", n.onDissemTimer)
 }
+
+// Receive patterns, shared by every node's program.
+var (
+	matchHello  = matchType(wire.TypeHello)
+	matchNormal = matchDissem(true)
+	matchUpdate = matchDissem(false)
+	matchSearch = matchType(wire.TypeSearch)
+	matchChange = matchType(wire.TypeChange)
+	matchData   = matchType(wire.TypeData)
+)
 
 func matchType(t wire.Type) func(gcn.Message) bool {
 	return func(m gcn.Message) bool {
@@ -290,6 +304,7 @@ func (n *node) sinkInit() {
 	n.slot = int32(n.net.cfg.Slots) // Δ: never transmits
 	n.version++
 	n.ninfo.set(n.id, info{hop: 0, slot: n.slot, version: n.version})
+	n.recountLosers()
 	n.resetDissemination()
 }
 
@@ -373,7 +388,14 @@ func (n *node) onDissem(sender topo.NodeID, d *wire.Dissem) {
 		}
 		cur, known := n.ninfo.get(in.Node)
 		if !known || in.Version > cur.version {
-			n.ninfo.set(in.Node, info{hop: in.Hop, slot: in.Slot, version: in.Version})
+			next := info{hop: in.Hop, slot: in.Slot, version: in.Version}
+			if known && n.yieldsTo(in.Node, cur) {
+				n.losers--
+			}
+			if n.yieldsTo(in.Node, next) {
+				n.losers++
+			}
+			n.ninfo.set(in.Node, next)
 			if in.Node == sender || n.knowsNeighbour(in.Node) {
 				learnedNeighbour = true
 			}
@@ -444,7 +466,7 @@ func (n *node) chooseSlot() {
 	if minHop < 0 {
 		// Stale potential parents (e.g. their info got overwritten by ⊥
 		// relays before versioning caught up); wait for fresher dissem.
-		n.npar = make(map[topo.NodeID]bool)
+		clear(n.npar)
 		return
 	}
 	n.hop = minHop + 1
@@ -492,6 +514,7 @@ func (n *node) setSlot(s int32) {
 	n.slot = s
 	n.version++
 	n.ninfo.set(n.id, info{hop: n.hop, slot: n.slot, version: n.version})
+	n.recountLosers()
 	// Schedule-repair clock (fault injection): any slot change after the
 	// first fault is self-healing activity. A plain field write — no event
 	// or random draw — so fault-free runs are unaffected.
@@ -501,32 +524,31 @@ func (n *node) setSlot(s int32) {
 	n.resetDissemination()
 }
 
-// collisionLoser returns a 2-hop neighbour we collide with and must yield
-// to (Figure 2: the node with the greater hop decrements; ties broken by
-// an arbitrary total order), or topo.None. The paper breaks ties by node
-// ID; any consistent order works, and a fixed ID order imprints a spatial
-// slot bias towards high-ID grid regions that the paper's quadrant-
-// symmetric capture ratios do not exhibit — so we use a per-run seeded
-// order instead (see DESIGN.md, faithfulness notes). This guard is
-// re-evaluated after every executed action, so it scans the already-sorted
-// info table rather than sorting map keys per call.
-func (n *node) collisionLoser() topo.NodeID {
-	if n.slot == noValue || n.isSink() {
-		return topo.None
+// yieldsTo reports whether this node must yield to 2-hop neighbour j,
+// whose entry is in, under the collision rule of Figure 2: the two hold
+// the same slot and the node with the greater hop decrements, ties broken
+// by an arbitrary total order. The paper breaks ties by node ID; any
+// consistent order works, and a fixed ID order imprints a spatial slot
+// bias towards high-ID grid regions that the paper's quadrant-symmetric
+// capture ratios do not exhibit — so we use a per-run seeded order
+// instead (see DESIGN.md, faithfulness notes). The sink and a slotless
+// node never yield.
+func (n *node) yieldsTo(j topo.NodeID, in info) bool {
+	if j == n.id || in.slot != n.slot || in.slot == noValue || n.isSink() {
+		return false
 	}
+	return n.hop > in.hop || (n.hop == in.hop && n.net.orderKey(n.id) > n.net.orderKey(j))
+}
+
+// recountLosers rebuilds losers from the whole table after the node's own
+// slot or hop changed.
+func (n *node) recountLosers() {
+	n.losers = 0
 	for k, j := range n.ninfo.ids {
-		if j == n.id {
-			continue
-		}
-		in := n.ninfo.infos[k]
-		if in.slot != n.slot || in.slot == noValue {
-			continue
-		}
-		if n.hop > in.hop || (n.hop == in.hop && n.net.orderKey(n.id) > n.net.orderKey(j)) {
-			return j
+		if n.yieldsTo(j, n.ninfo.infos[k]) {
+			n.losers++
 		}
 	}
-	return topo.None
 }
 
 // resolveTarget is the slot a collision loser descends to. Figure 2

@@ -53,7 +53,7 @@ type Timer struct {
 // This is the set(timer, value) command of the paper.
 func (t *Timer) Set(d time.Duration) {
 	t.event.Cancel()
-	t.expired = false
+	t.unexpire()
 	t.event = t.proc.engine.sim.ScheduleAfter(d, t.fire)
 }
 
@@ -61,7 +61,15 @@ func (t *Timer) Set(d time.Duration) {
 func (t *Timer) Stop() {
 	t.event.Cancel()
 	t.event = des.Event{}
-	t.expired = false
+	t.unexpire()
+}
+
+// unexpire clears the expired flag, keeping the owner's count exact.
+func (t *Timer) unexpire() {
+	if t.expired {
+		t.expired = false
+		t.proc.expired--
+	}
 }
 
 // Expired reports whether the timer has fired and not yet been consumed.
@@ -70,24 +78,21 @@ func (t *Timer) Expired() bool { return t.expired }
 // Pending reports whether the timer is armed and counting down.
 func (t *Timer) Pending() bool { return t.event.Pending() }
 
-type actionKind int
-
-const (
-	kindGuard actionKind = iota + 1
-	kindReceive
-	kindTimeout
-)
-
-type action struct {
-	name  string
-	kind  actionKind
-	guard func() bool
-	// command for guard/timeout actions.
-	command func()
-	// match/handle for receive actions.
+// receiveAction is rcv⟨pattern⟩ → handle: enabled when match accepts the
+// head-of-channel message (nil match accepts everything).
+type receiveAction struct {
+	name   string
 	match  func(Message) bool
 	handle func(sender topo.NodeID, msg Message)
-	timer  *Timer
+}
+
+// pollAction is a timeout(timer) → command action when timer is non-nil,
+// else a plain guard → command action.
+type pollAction struct {
+	name    string
+	timer   *Timer
+	guard   func() bool
+	command func()
 }
 
 // Process is a GCN process: an ordered action list, a channel variable and
@@ -101,7 +106,15 @@ type Process struct {
 	// is allocation-free in steady state.
 	inbox     []envelope
 	inboxHead int
-	actions   []*action // lint:immutable: the process program, fixed at construction
+	// The process program, split by how an action is enabled and stored by
+	// value in declaration order: receive actions are matched against the
+	// channel head, poll actions (timeouts and plain guards) are polled
+	// once the channel is empty.
+	receives []receiveAction // lint:immutable: the process program, fixed at construction
+	polls    []pollAction    // lint:immutable: the process program, fixed at construction
+	// expired counts this process's timers that have fired and not been
+	// consumed, so the poll loop loads a timer only when one has fired.
+	expired int
 	// Dropped counts head-of-channel messages no receive action matched.
 	dropped uint64
 	failed  error
@@ -133,9 +146,9 @@ func (p *Process) Fail() {
 	}
 	p.inbox = p.inbox[:0]
 	p.inboxHead = 0
-	for _, a := range p.actions {
-		if a.kind == kindTimeout {
-			a.timer.Stop()
+	for i := range p.polls {
+		if t := p.polls[i].timer; t != nil {
+			t.Stop()
 		}
 	}
 }
@@ -163,10 +176,11 @@ func (p *Process) Reset() {
 	p.dropped = 0
 	p.failed = nil
 	p.dead = false
-	for _, a := range p.actions {
-		if a.kind == kindTimeout {
-			a.timer.event = des.Event{}
-			a.timer.expired = false
+	p.expired = 0
+	for i := range p.polls {
+		if t := p.polls[i].timer; t != nil {
+			t.event = des.Event{}
+			t.expired = false
 		}
 	}
 }
@@ -174,13 +188,13 @@ func (p *Process) Reset() {
 // AddGuard appends a plain guarded action: when guard() is true and no
 // earlier action is enabled, command() runs.
 func (p *Process) AddGuard(name string, guard func() bool, command func()) {
-	p.actions = append(p.actions, &action{name: name, kind: kindGuard, guard: guard, command: command})
+	p.polls = append(p.polls, pollAction{name: name, guard: guard, command: command})
 }
 
 // AddReceive appends a receive action rcv⟨pattern⟩ → handle. match
 // inspects the head-of-channel message; nil match matches everything.
 func (p *Process) AddReceive(name string, match func(Message) bool, handle func(sender topo.NodeID, msg Message)) {
-	p.actions = append(p.actions, &action{name: name, kind: kindReceive, match: match, handle: handle})
+	p.receives = append(p.receives, receiveAction{name: name, match: match, handle: handle})
 }
 
 // NewTimer creates a timer and appends its timeout(timer) → command action.
@@ -192,10 +206,11 @@ func (p *Process) NewTimer(name string, command func()) *Timer {
 		// Clear the handle before stimulating: a fired event is no longer
 		// armed, and the zero handle keeps Pending() honest.
 		t.event = des.Event{}
-		t.expired = true
+		t.expired = true // Set cleared it before arming
+		t.proc.expired++
 		t.proc.engine.stimulate(t.proc)
 	}
-	p.actions = append(p.actions, &action{name: name, kind: kindTimeout, timer: t, command: command})
+	p.polls = append(p.polls, pollAction{name: name, timer: t, command: command})
 	return t
 }
 
@@ -302,10 +317,8 @@ func (p *Process) stepOnce(e *Engine) bool {
 		head := p.inbox[p.inboxHead]
 		p.inbox[p.inboxHead] = envelope{} // release the message reference
 		p.inboxHead++
-		for _, a := range p.actions {
-			if a.kind != kindReceive {
-				continue
-			}
+		for i := range p.receives {
+			a := &p.receives[i]
 			if a.match == nil || a.match(head.msg) {
 				if e.OnAction != nil {
 					e.OnAction(p, a.name)
@@ -319,29 +332,25 @@ func (p *Process) stepOnce(e *Engine) bool {
 		p.dropped++
 		return true
 	}
-	// Then timeout and plain guard actions in declaration order.
-	for _, a := range p.actions {
-		switch a.kind {
-		case kindTimeout:
-			if a.timer.expired {
-				a.timer.expired = false // consume
-				if e.OnAction != nil {
-					e.OnAction(p, a.name)
-				}
-				a.command()
-				return true
+	// Then timeout and plain guard actions in declaration order. A timeout
+	// action is enabled only while its timer is expired, so with no expired
+	// timer the loop skips timeouts without loading them.
+	for i := range p.polls {
+		a := &p.polls[i]
+		if a.timer != nil {
+			if p.expired == 0 || !a.timer.expired {
+				continue
 			}
-		case kindGuard:
-			if a.guard() {
-				if e.OnAction != nil {
-					e.OnAction(p, a.name)
-				}
-				a.command()
-				return true
-			}
-		case kindReceive:
-			// handled above
+			a.timer.expired = false // consume
+			p.expired--
+		} else if !a.guard() {
+			continue
 		}
+		if e.OnAction != nil {
+			e.OnAction(p, a.name)
+		}
+		a.command()
+		return true
 	}
 	return false
 }

@@ -37,10 +37,15 @@ const (
 	DefaultPropagationDelay = time.Microsecond
 )
 
-// Receiver consumes frames delivered to a node. The payload slice is owned
-// by the medium's buffer pool and is only valid for the duration of the
-// call; receivers that keep payload bytes must copy them.
-type Receiver func(from topo.NodeID, payload []byte)
+// Receiver consumes frames delivered to a node. frame is the broadcast's
+// ordinal since the medium was built or last Reset (1 for the first
+// broadcast): every delivery of one broadcast carries the same frame and
+// distinct broadcasts carry distinct ones, so a receiver may decode a
+// payload once per frame and reuse the result for the frame's other
+// deliveries. The payload slice is owned by the medium's buffer pool and is
+// only valid for the duration of the call; receivers that keep payload
+// bytes must copy them.
+type Receiver func(from topo.NodeID, frame uint64, payload []byte)
 
 // Observation is what an eavesdropper perceives about one transmission:
 // who transmitted, from where, and when — never the payload (the paper
@@ -149,6 +154,7 @@ type observerEntry struct {
 // frame is one broadcast's payload, shared by every delivery of that
 // broadcast and returned to the pool when the last reference drops.
 type frame struct {
+	id   uint64 // broadcast ordinal, see Receiver
 	buf  []byte
 	refs int
 }
@@ -188,7 +194,7 @@ func (d *delivery) Run() {
 		default:
 			if recv := m.receivers[d.to]; recv != nil && !m.disabled[d.to] {
 				m.stats.Deliveries++
-				recv(d.from, d.f.buf)
+				recv(d.from, d.f.id, d.f.buf)
 			}
 		}
 	}
@@ -541,13 +547,14 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	}
 	m.stats.Broadcasts++
 	m.stats.BytesSent += uint64(len(payload))
+	f := m.getFrame(payload)
+	f.id = m.stats.Broadcasts // the ordinal: Reset rewinds the counter
 
 	now := m.sim.Now()
 	airtime := m.Airtime(len(payload))
 	delay := airtime + m.propDelay
 	endAt := now + delay
 	senderPos := m.g.Position(from)
-	f := m.getFrame(payload)
 
 	// Schedule deliveries to in-range nodes, applying loss and collisions.
 	for _, to := range m.g.Neighbors(from) {
