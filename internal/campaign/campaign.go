@@ -26,8 +26,6 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"slpdas/internal/attacker"
 	"slpdas/internal/channel"
@@ -36,7 +34,6 @@ import (
 	"slpdas/internal/experiment"
 	"slpdas/internal/fault"
 	"slpdas/internal/protocol"
-	"slpdas/internal/topo"
 )
 
 // Historical names for the paper's pair on the Protocols axis. The axis
@@ -440,78 +437,6 @@ type Summary struct {
 	Failures int // individual runs that errored, across all cells
 }
 
-// runner executes one repeat; tests substitute it to instrument the pool.
-type runner func(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error)
-
-// cellState is one cell's streaming index-ordered reduction: results
-// deposited by any worker in any order are folded into the accumulator
-// strictly by repeat index, so the aggregate is identical whether the
-// cell's repeats ran on one worker or the whole pool. Out-of-order
-// arrivals park in pending (bounded by pool concurrency); folded Results
-// are released immediately.
-type cellState struct {
-	mu       sync.Mutex
-	next     int // next repeat index to fold
-	repeats  int
-	pending  map[int]pendingRun
-	acc      *experiment.Accumulator
-	failures int
-	firstErr error // lowest-repeat-index error, matching the batch engine
-	done     chan struct{}
-}
-
-type pendingRun struct {
-	res *core.Result
-	err error
-}
-
-// deposit hands repeat rep's outcome to the reducer. Exactly one call per
-// repeat; the cell's done channel closes when the last repeat has folded.
-func (cs *cellState) deposit(rep int, res *core.Result, err error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if rep != cs.next {
-		if cs.pending == nil {
-			cs.pending = make(map[int]pendingRun)
-		}
-		cs.pending[rep] = pendingRun{res: res, err: err}
-		return
-	}
-	cs.fold(res, err)
-	for {
-		p, ok := cs.pending[cs.next]
-		if !ok {
-			break
-		}
-		delete(cs.pending, cs.next)
-		cs.fold(p.res, p.err)
-	}
-	if cs.next == cs.repeats {
-		close(cs.done)
-	}
-}
-
-func (cs *cellState) fold(res *core.Result, err error) {
-	if err != nil {
-		cs.failures++
-		if cs.firstErr == nil {
-			cs.firstErr = err
-		}
-	} else {
-		cs.acc.Add(res)
-	}
-	cs.next++
-}
-
-// resolvedCell pairs a cell with its materialised topology and config.
-type resolvedCell struct {
-	cell   Cell
-	g      *topo.Graph
-	sink   topo.NodeID
-	source topo.NodeID
-	cfg    core.Config
-}
-
 // Run expands the spec and executes every cell not excluded by Skip,
 // CompletedCells or Shard, streaming one Row per executed cell to each
 // sink in cell-index order as results become available.
@@ -519,75 +444,40 @@ type resolvedCell struct {
 // run error is returned alongside the summary of everything that
 // completed, mirroring experiment.Run's convention.
 //
-// Execution is arena-style: topologies are memoised across campaigns (see
-// resolve), and each worker keeps one wired core.Network per topology,
-// rewinding it with Network.Reset between repeats and across config cells
-// instead of rebuilding — the per-run cost is the simulation itself, not
-// its setup. Reset is pinned to be indistinguishable from fresh
-// construction, so rows remain a pure function of the Spec regardless of
-// worker count, arena reuse or cache warmth.
+// Every (cell, repeat) job runs through experiment.Execute's one shared
+// pool, on its per-worker arenas; topologies are memoised across
+// campaigns (see resolve), so a worker's network for a topology is
+// rewound with Network.Reset across repeats and config cells instead of
+// rebuilt. Rows remain a pure function of the Spec regardless of worker
+// count, arena reuse or cache warmth, and a cell's memory is released
+// once its row is written.
 func Run(spec Spec, sinks ...Sink) (*Summary, error) {
 	return run(spec, nil, sinks...)
 }
 
-// arena is one worker's pool of reusable networks, keyed by topology (one
-// graph never maps to two different sink/source pairs within a campaign,
-// since all three come from the same builtTopology). The wire-or-reset
-// policy itself lives in experiment.RunReusable, shared with the
-// experiment harness's workers.
-type arena map[*topo.Graph]*core.Network
-
-func (a arena) run(rc resolvedCell, seed uint64) (*core.Result, error) {
-	net := a[rc.g]
-	res, err := experiment.RunReusable(&net, rc.g, rc.sink, rc.source, rc.cfg, seed)
-	if net == nil {
-		// RunReusable discards a network that failed to reset; rewire on
-		// the next job.
-		delete(a, rc.g)
-	} else {
-		a[rc.g] = net
-	}
-	return res, err
-}
-
-func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
+// run is Run with experiment.Execute's run seam exposed: tests pass a
+// fake to instrument the pool, Run passes nil.
+func run(spec Spec, exec experiment.RunFunc, sinks ...Sink) (*Summary, error) {
 	spec = spec.withDefaults()
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	if len(cells) == 0 {
-		return &Summary{}, nil
-	}
 	skip, err := spec.skipFunc()
 	if err != nil {
 		return nil, err
 	}
-	// selected marks the cells this run actually executes; skipped cells
-	// keep their indices and seed ranges but get no jobs, rows or results
-	// storage.
-	selected := make([]bool, len(cells))
-	nSelected := 0
-	for i := range cells {
-		if !skip(i) {
-			selected[i] = true
-			nSelected++
-		}
-	}
-	if nSelected == 0 {
-		return &Summary{Cells: len(cells), Skipped: len(cells)}, nil
-	}
-
 	// Resolve every selected cell's topology and config up front so a bad
 	// axis value fails before any simulation starts. Topologies are
 	// memoised process-wide by spec (graphs are immutable): cells share
 	// them across the pool, and successive campaigns share them across
-	// calls. Skipped cells stay unresolved — a resume that has most of a
-	// huge matrix complete, or one shard of many, pays setup only for the
-	// cells it will actually run.
-	resolved := make([]resolvedCell, len(cells))
-	for i, c := range cells {
-		if !selected[i] {
+	// calls. Skipped cells keep their indices and seed ranges but stay
+	// unresolved — a resume that has most of a huge matrix complete, or
+	// one shard of many, pays setup only for the cells it will run.
+	var selected []Cell
+	var accs []*experiment.Accumulator
+	for _, c := range cells {
+		if skip(c.Index) {
 			continue
 		}
 		bt, err := c.Topology.resolve()
@@ -598,147 +488,57 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		resolved[i] = resolvedCell{cell: c, g: bt.g, sink: bt.sink, source: bt.source, cfg: cfg}
+		selected = append(selected, c)
+		accs = append(accs, experiment.NewAccumulator(experiment.Spec{
+			GridSize: c.Topology.gridSize(),
+			Topology: bt.g,
+			Sink:     bt.sink,
+			Source:   bt.source,
+			Config:   cfg,
+			Repeats:  c.Repeats,
+			BaseSeed: c.BaseSeed,
+		}, bt.g))
+	}
+	sum := &Summary{Cells: len(cells), Skipped: len(cells) - len(selected)}
+	if len(selected) == 0 {
+		return sum, nil
 	}
 
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := nSelected * spec.Repeats; workers > total {
-		workers = total
-	}
-
-	// One shared pool over every selected (cell, repeat) job, reduced per
-	// cell by a streaming index-ordered fold: workers deposit results as
-	// they finish, the reducer folds them into the cell's Accumulator
-	// strictly in repeat order (out-of-order arrivals wait in a small
-	// pending map bounded by pool concurrency) and frees each Result
-	// immediately. Rows are therefore a pure function of the Spec
-	// regardless of worker count — the fold order never depends on
-	// scheduling — and a cell's memory is O(workers) Results instead of
-	// O(repeats), which is what lets one 10⁵–10⁶-node cell run wide
-	// without buffering every repeat's n-sized assignment.
-	states := make([]*cellState, len(cells))
-	for i := range cells {
-		if !selected[i] {
-			continue
-		}
-		rc := resolved[i]
-		acc := experiment.NewAccumulator(experiment.Spec{
-			GridSize: rc.cell.Topology.gridSize(),
-			Topology: rc.g,
-			Sink:     rc.sink,
-			Source:   rc.source,
-			Config:   rc.cfg,
-			Repeats:  rc.cell.Repeats,
-			BaseSeed: rc.cell.BaseSeed,
-		}, rc.g)
-		states[i] = &cellState{repeats: spec.Repeats, acc: acc, done: make(chan struct{})}
-	}
-
-	type job struct{ cell, rep int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns an arena of reusable networks (one per
-			// topology); the instrumented exec hook used by tests bypasses
-			// it.
-			var nets arena
-			if exec == nil {
-				nets = make(arena)
-			}
-			for j := range jobs {
-				rc := resolved[j.cell]
-				seed := rc.cell.BaseSeed + uint64(j.rep)
-				var res *core.Result
-				var err error
-				if nets != nil {
-					res, err = nets.run(rc, seed)
-				} else {
-					res, err = exec(rc.g, rc.sink, rc.source, rc.cfg, seed)
-				}
-				if err != nil {
-					err = fmt.Errorf("campaign: cell %d seed %d: %w", j.cell, seed, err)
-				}
-				states[j.cell].deposit(j.rep, res, err)
-			}
-		}()
-	}
-	go func() {
-		for c := range cells {
-			if !selected[c] {
-				continue
-			}
-			for r := 0; r < spec.Repeats; r++ {
-				jobs <- job{cell: c, rep: r}
-			}
-		}
-		close(jobs)
-	}()
-
-	// abort drains the pool after a fatal sink/checkpoint failure: the
-	// stream's contract is one row per executed cell, so there is no
-	// point finishing the matrix.
-	abort := func() {
-		go func() {
-			for range jobs {
-			}
-		}()
-		wg.Wait()
-	}
-
-	// Emit rows in cell order as cells finish; earlier cells gate later
-	// ones only at the sink, not in the pool.
-	sum := &Summary{Cells: len(cells)}
 	var firstErr error
-	emitted := 0
-	for i := range cells {
-		if !selected[i] {
-			sum.Skipped++
-			continue
+	err = experiment.Execute(accs, spec.Workers, exec, func(i int, agg *experiment.Aggregate, runErr error) error {
+		c := selected[i]
+		if runErr != nil && firstErr == nil {
+			firstErr = fmt.Errorf("campaign: cell %d %w", c.Index, runErr)
 		}
-		st := states[i]
-		<-st.done
-		rc := resolved[i]
-		agg := st.acc.Finalize()
-		agg.Failures = st.failures
-		if st.firstErr != nil && firstErr == nil {
-			firstErr = st.firstErr
-		}
-		// Release the cell's reduction state so a long campaign's memory
-		// is bounded by in-flight cells, not total runs.
-		states[i] = nil
-		row := makeRow(rc.cell, rc.g, agg)
+		row := makeRow(c, agg)
 		sum.Rows = append(sum.Rows, row)
 		sum.Failures += agg.Failures
 		for _, snk := range sinks {
 			if err := snk.Write(row); err != nil {
-				// A sink failure is fatal: drain the pool and stop.
-				abort()
-				return sum, fmt.Errorf("campaign: sink: %w", err)
+				// A sink failure is fatal: the stream's contract is one
+				// row per executed cell, so there is no point finishing
+				// the matrix.
+				return fmt.Errorf("campaign: sink: %w", err)
 			}
 		}
-		emitted++
-		if spec.CheckpointEvery > 0 && emitted%spec.CheckpointEvery == 0 {
+		if spec.CheckpointEvery > 0 && len(sum.Rows)%spec.CheckpointEvery == 0 {
 			for _, snk := range sinks {
 				cs, ok := snk.(CheckpointSink)
 				if !ok {
 					continue
 				}
 				if _, err := cs.Checkpoint(); err != nil {
-					abort()
-					return sum, fmt.Errorf("campaign: checkpoint: %w", err)
+					return fmt.Errorf("campaign: checkpoint: %w", err)
 				}
 			}
 		}
 		if spec.Progress != nil {
-			spec.Progress(i+1, len(cells), row)
+			spec.Progress(c.Index+1, len(cells), row)
 		}
+		return nil
+	})
+	if err != nil {
+		return sum, err
 	}
-	wg.Wait()
 	return sum, firstErr
 }

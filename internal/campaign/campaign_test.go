@@ -380,7 +380,7 @@ func TestStrategyAxisDeterminism(t *testing.T) {
 // reduction on a cell big enough that repeats genuinely interleave: one
 // 600-node random geometric cell whose repeats are partitioned across
 // the pool differently at every worker count, folded by the index-ordered
-// cellState reducer. The rows — aggregates folded strictly in repeat
+// reducer of experiment.Execute. The rows — aggregates folded strictly in repeat
 // order — must be byte-identical at 1, 2 and 4 workers. This is also the
 // cell the race CI job drives: a 600-node graph keeps thousands of
 // arena/pool interactions under the race detector without the Table-I

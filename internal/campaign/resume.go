@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"strconv"
 
 	"slpdas/internal/attacker"
@@ -241,60 +243,49 @@ func checkCSVHeader(rec []string) error {
 	return nil
 }
 
+// csvCoordColumns are the columns csvCoordRow parses back: the cell
+// index, the node count and every coordinate cellRowMismatch compares.
+var csvCoordColumns = []string{
+	"cell", "topology", "grid_size", "nodes", "protocol", "search_distance",
+	"attacker_r", "attacker_h", "attacker_m", "strategy", "attackers",
+	"shared_history", "loss_model", "collisions", "repeats", "base_seed",
+	"faults", "energy",
+}
+
 // csvCoordRow parses the coordinate columns of one CSV record back into
-// a Row (metric columns are left zero — resume verification only needs
-// coordinates).
+// a Row, looking each up by header name (metric columns are left zero —
+// resume verification only needs coordinates).
 func csvCoordRow(rec []string) (Row, error) {
 	if len(rec) != len(csvHeader) {
 		return Row{}, fmt.Errorf("%d fields, want %d", len(rec), len(csvHeader))
 	}
 	var r Row
-	var err error
-	atoi := func(col int, dst *int) {
+	v := reflect.ValueOf(&r).Elem()
+	for _, name := range csvCoordColumns {
+		col := slices.Index(csvHeader, name)
+		f, s := v.Field(col), rec[col]
+		var err error
+		switch f.Kind() {
+		case reflect.Int:
+			var x int
+			x, err = strconv.Atoi(s)
+			f.SetInt(int64(x))
+		case reflect.Uint64:
+			var x uint64
+			x, err = strconv.ParseUint(s, 10, 64)
+			f.SetUint(x)
+		case reflect.Bool:
+			var x bool
+			x, err = strconv.ParseBool(s)
+			f.SetBool(x)
+		default:
+			f.SetString(s)
+		}
 		if err != nil {
-			return
-		}
-		v, e := strconv.Atoi(rec[col])
-		if e != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[col], rec[col])
-			return
-		}
-		*dst = v
-	}
-	abool := func(col int, dst *bool) {
-		if err != nil {
-			return
-		}
-		v, e := strconv.ParseBool(rec[col])
-		if e != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[col], rec[col])
-			return
-		}
-		*dst = v
-	}
-	atoi(0, &r.Cell)
-	r.Topology = rec[1]
-	atoi(2, &r.GridSize)
-	atoi(3, &r.Nodes)
-	r.Protocol = rec[4]
-	atoi(5, &r.SearchDistance)
-	atoi(6, &r.AttackerR)
-	atoi(7, &r.AttackerH)
-	atoi(8, &r.AttackerM)
-	r.Strategy = rec[9]
-	atoi(10, &r.Attackers)
-	abool(11, &r.SharedHistory)
-	r.LossModel = rec[12]
-	abool(13, &r.Collisions)
-	atoi(14, &r.Repeats)
-	if err == nil {
-		if r.BaseSeed, err = strconv.ParseUint(rec[15], 10, 64); err != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[15], rec[15])
+			return r, fmt.Errorf("bad %s %q", name, s)
 		}
 	}
-	r.Faults = rec[29]
-	r.Energy = rec[38]
-	return r, err
+	return r, nil
 }
 
 // ScanCompletedCSV is ScanCompleted for CSV campaign output: the first

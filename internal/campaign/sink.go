@@ -7,11 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 
 	"slpdas/internal/experiment"
-	"slpdas/internal/topo"
 )
 
 // Row is one streamed result record: the cell's full matrix coordinates
@@ -101,34 +102,16 @@ func fin(x float64) float64 {
 // promise of the Row doc at the sink boundary regardless of where the
 // row came from.
 func (r Row) sanitize() Row {
-	r.CaptureRatio = fin(r.CaptureRatio)
-	r.CaptureRatioCI95 = fin(r.CaptureRatioCI95)
-	r.MeanCapturePeriods = fin(r.MeanCapturePeriods)
-	r.ScheduleValidRatio = fin(r.ScheduleValidRatio)
-	r.ControlMessages = fin(r.ControlMessages)
-	r.ControlBytes = fin(r.ControlBytes)
-	r.TotalMessages = fin(r.TotalMessages)
-	r.ChangedNodes = fin(r.ChangedNodes)
-	r.SourceDeliveries = fin(r.SourceDeliveries)
-	r.DeliveryLatency = fin(r.DeliveryLatency)
-	r.MeanAttackerMoves = fin(r.MeanAttackerMoves)
-	r.NodesFailed = fin(r.NodesFailed)
-	r.NodesRecovered = fin(r.NodesRecovered)
-	r.RepairPeriods = fin(r.RepairPeriods)
-	r.DeliveryBefore = fin(r.DeliveryBefore)
-	r.DeliveryDuring = fin(r.DeliveryDuring)
-	r.DeliveryAfter = fin(r.DeliveryAfter)
-	r.PartitionRatio = fin(r.PartitionRatio)
-	r.CaptureWins = fin(r.CaptureWins)
-	r.EnergyTotal = fin(r.EnergyTotal)
-	r.EnergyMax = fin(r.EnergyMax)
-	r.EnergyDeaths = fin(r.EnergyDeaths)
-	r.FirstDeathPeriod = fin(r.FirstDeathPeriod)
-	r.Lifetime = fin(r.Lifetime)
+	v := reflect.ValueOf(&r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 {
+			f.SetFloat(fin(f.Float()))
+		}
+	}
 	return r
 }
 
-func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
+func makeRow(c Cell, agg *experiment.Aggregate) Row {
 	faults := c.Faults
 	if faults == "" {
 		faults = "none"
@@ -141,7 +124,7 @@ func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 		Cell:           c.Index,
 		Topology:       c.Topology.Label(),
 		GridSize:       c.Topology.gridSize(),
-		Nodes:          g.Len(),
+		Nodes:          agg.Nodes,
 		Protocol:       c.Protocol,
 		SearchDistance: c.SearchDistance,
 		AttackerR:      c.Attacker.R,
@@ -275,43 +258,39 @@ func ReadJSONL(r io.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// csvHeader is the CSV column order; it must match csvRecord.
-var csvHeader = []string{
-	"cell", "topology", "grid_size", "nodes", "protocol", "search_distance",
-	"attacker_r", "attacker_h", "attacker_m", "strategy", "attackers",
-	"shared_history", "loss_model", "collisions",
-	"repeats", "base_seed", "runs", "failures", "captures", "capture_ratio",
-	"capture_ratio_ci95", "mean_capture_periods", "schedule_valid_ratio",
-	"control_messages", "control_bytes", "total_messages", "changed_nodes",
-	"source_deliveries", "delivery_latency_slots",
-	"faults", "mean_attacker_moves", "nodes_failed", "nodes_recovered",
-	"repair_periods", "delivery_ratio_before", "delivery_ratio_during",
-	"delivery_ratio_after", "partition_ratio",
-	"energy", "mean_capture_wins", "energy_total_mj", "energy_max_mj",
-	"mean_energy_deaths", "first_death_period", "lifetime_periods",
-}
-
-func csvRecord(r Row) []string {
-	r = r.sanitize()
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	return []string{
-		strconv.Itoa(r.Cell), r.Topology, strconv.Itoa(r.GridSize),
-		strconv.Itoa(r.Nodes), r.Protocol, strconv.Itoa(r.SearchDistance),
-		strconv.Itoa(r.AttackerR), strconv.Itoa(r.AttackerH), strconv.Itoa(r.AttackerM),
-		r.Strategy, strconv.Itoa(r.Attackers), strconv.FormatBool(r.SharedHistory),
-		r.LossModel, strconv.FormatBool(r.Collisions),
-		strconv.Itoa(r.Repeats), strconv.FormatUint(r.BaseSeed, 10),
-		strconv.Itoa(r.Runs), strconv.Itoa(r.Failures), strconv.Itoa(r.Captures),
-		f(r.CaptureRatio), f(r.CaptureRatioCI95), f(r.MeanCapturePeriods),
-		f(r.ScheduleValidRatio), f(r.ControlMessages), f(r.ControlBytes),
-		f(r.TotalMessages), f(r.ChangedNodes), f(r.SourceDeliveries),
-		f(r.DeliveryLatency),
-		r.Faults, f(r.MeanAttackerMoves), f(r.NodesFailed), f(r.NodesRecovered),
-		f(r.RepairPeriods), f(r.DeliveryBefore), f(r.DeliveryDuring),
-		f(r.DeliveryAfter), f(r.PartitionRatio),
-		r.Energy, f(r.CaptureWins), f(r.EnergyTotal), f(r.EnergyMax),
-		f(r.EnergyDeaths), f(r.FirstDeathPeriod), f(r.Lifetime),
+// csvHeader is the CSV column order: Row's json tags, in field order.
+var csvHeader = func() []string {
+	t := reflect.TypeOf(Row{})
+	h := make([]string, t.NumField())
+	for i := range h {
+		h[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
 	}
+	return h
+}()
+
+// csvRecord renders every Row field in column order, by kind; floats go
+// through fin like the JSONL sink's.
+func csvRecord(r Row) []string {
+	v := reflect.ValueOf(r)
+	rec := make([]string, v.NumField())
+	for i := range rec {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			rec[i] = strconv.Itoa(int(f.Int()))
+		case reflect.Uint64:
+			rec[i] = strconv.FormatUint(f.Uint(), 10)
+		case reflect.Bool:
+			rec[i] = strconv.FormatBool(f.Bool())
+		case reflect.String:
+			rec[i] = f.String()
+		case reflect.Float64:
+			rec[i] = strconv.FormatFloat(fin(f.Float()), 'g', -1, 64)
+		default:
+			panic(fmt.Sprintf("campaign: Row field %s has unsupported kind %s", v.Type().Field(i).Name, f.Kind()))
+		}
+	}
+	return rec
 }
 
 // CSV streams rows as CSV with a header, for spreadsheet/pandas use.

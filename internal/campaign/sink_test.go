@@ -101,8 +101,14 @@ func TestCSVSink(t *testing.T) {
 }
 
 func TestCSVHeaderMatchesRowShape(t *testing.T) {
-	if nFields := reflect.TypeOf(Row{}).NumField(); len(csvHeader) != nFields {
-		t.Errorf("csvHeader has %d columns, Row has %d fields", len(csvHeader), nFields)
+	rt := reflect.TypeOf(Row{})
+	if nFields := rt.NumField(); len(csvHeader) != nFields {
+		t.Fatalf("csvHeader has %d columns, Row has %d fields", len(csvHeader), nFields)
+	}
+	for i, h := range csvHeader {
+		if tag := rt.Field(i).Tag.Get("json"); h != tag {
+			t.Errorf("csvHeader[%d] = %q, Row field %s has json tag %q", i, h, rt.Field(i).Name, tag)
+		}
 	}
 	if got := len(csvRecord(Row{})); got != len(csvHeader) {
 		t.Errorf("csvRecord emits %d cells, header has %d", got, len(csvHeader))

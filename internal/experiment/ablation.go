@@ -25,23 +25,23 @@ func SearchDistanceSweep(gridSize int, distances []int, repeats int, baseSeed ui
 	if len(distances) == 0 {
 		distances = []int{1, 2, 3, 4, 5, 6, 7}
 	}
-	out := make([]SearchDistancePoint, 0, len(distances))
-	for _, sd := range distances {
-		agg, err := Run(Spec{
-			GridSize: gridSize,
-			Config:   core.DefaultSLP(sd),
-			Repeats:  repeats,
-			BaseSeed: baseSeed,
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sd sweep at %d: %w", sd, err)
-		}
-		out = append(out, SearchDistancePoint{
-			SearchDistance: sd,
+	specs := make([]Spec, len(distances))
+	for i, sd := range distances {
+		specs[i] = Spec{GridSize: gridSize, Config: core.DefaultSLP(sd), Repeats: repeats, BaseSeed: baseSeed}
+	}
+	aggs, err := runBatch(specs, workers, func(i int) string {
+		return fmt.Sprintf("sd sweep at %d", distances[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SearchDistancePoint, len(distances))
+	for i, agg := range aggs {
+		out[i] = SearchDistancePoint{
+			SearchDistance: distances[i],
 			CaptureRatio:   agg.CaptureRatio,
 			ChangedNodes:   agg.ChangedNodes,
-		})
+		}
 	}
 	return out, nil
 }
@@ -143,29 +143,30 @@ func StrategySweep(gridSize int, base core.Config, strategies []string, counts [
 	if len(counts) == 0 {
 		counts = []int{1}
 	}
-	out := make([]StrategyPoint, 0, len(strategies)*len(counts))
+	specs := make([]Spec, 0, len(strategies)*len(counts))
 	for _, s := range strategies {
 		for _, count := range counts {
 			cfg := base
 			cfg.Strategy = s
 			cfg.AttackerCount = count
-			agg, err := Run(Spec{
-				GridSize: gridSize,
-				Config:   cfg,
-				Repeats:  repeats,
-				BaseSeed: baseSeed,
-				Workers:  workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: strategy sweep %s x%d: %w", s, count, err)
-			}
-			out = append(out, StrategyPoint{
-				Strategy:       s,
-				Attackers:      count,
-				SharedHistory:  cfg.SharedHistory,
-				CaptureRatio:   agg.CaptureRatio,
-				CapturePeriods: agg.CapturePeriods,
-			})
+			specs = append(specs, Spec{GridSize: gridSize, Config: cfg, Repeats: repeats, BaseSeed: baseSeed})
+		}
+	}
+	aggs, err := runBatch(specs, workers, func(i int) string {
+		return fmt.Sprintf("strategy sweep %s x%d", specs[i].Config.Strategy, specs[i].Config.AttackerCount)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]StrategyPoint, len(specs))
+	for i, agg := range aggs {
+		cfg := specs[i].Config
+		out[i] = StrategyPoint{
+			Strategy:       cfg.Strategy,
+			Attackers:      cfg.AttackerCount,
+			SharedHistory:  cfg.SharedHistory,
+			CaptureRatio:   agg.CaptureRatio,
+			CapturePeriods: agg.CapturePeriods,
 		}
 	}
 	return out, nil
@@ -198,29 +199,29 @@ func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, work
 	if channels == nil {
 		channels = []string{"ideal", "bernoulli:0.05", "rssi"}
 	}
-	out := make([]LossModelPoint, 0, len(channels))
-	for _, spec := range channels {
+	specs := make([]Spec, len(channels))
+	for i, spec := range channels {
 		m, err := channel.Parse(spec)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: loss sweep: %w", err)
 		}
 		cfg := core.DefaultSLP(searchDistance)
 		cfg.Channel = m.Spec()
-		agg, err := Run(Spec{
-			GridSize: gridSize,
-			Config:   cfg,
-			Repeats:  repeats,
-			BaseSeed: baseSeed,
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: loss sweep %q: %w", cfg.Channel, err)
-		}
-		out = append(out, LossModelPoint{
-			Model:         cfg.Channel,
+		specs[i] = Spec{GridSize: gridSize, Config: cfg, Repeats: repeats, BaseSeed: baseSeed}
+	}
+	aggs, err := runBatch(specs, workers, func(i int) string {
+		return fmt.Sprintf("loss sweep %q", specs[i].Config.Channel)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LossModelPoint, len(specs))
+	for i, agg := range aggs {
+		out[i] = LossModelPoint{
+			Model:         specs[i].Config.Channel,
 			CaptureRatio:  agg.CaptureRatio,
 			ScheduleValid: agg.ScheduleValid,
-		})
+		}
 	}
 	return out, nil
 }

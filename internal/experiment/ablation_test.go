@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,21 +10,44 @@ import (
 )
 
 func TestSearchDistanceSweep(t *testing.T) {
-	points, err := SearchDistanceSweep(5, []int{1, 2}, 3, 31, 0)
-	if err != nil {
-		t.Fatalf("SearchDistanceSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if p.CaptureRatio.Trials != 3 {
-			t.Errorf("sd %d: trials = %d", p.SearchDistance, p.CaptureRatio.Trials)
+	for _, workers := range []int{1, 4} {
+		points, err := SearchDistanceSweep(5, []int{1, 2}, 3, 31, workers)
+		if err != nil {
+			t.Fatalf("SearchDistanceSweep: %v", err)
+		}
+		if len(points) != 2 {
+			t.Fatalf("points = %d", len(points))
+		}
+		for _, p := range points {
+			if p.CaptureRatio.Trials != 3 {
+				t.Errorf("sd %d: trials = %d", p.SearchDistance, p.CaptureRatio.Trials)
+			}
+			agg := runCell(t, Spec{GridSize: 5, Config: core.DefaultSLP(p.SearchDistance), Repeats: 3, BaseSeed: 31})
+			samePoint(t, workers, p, SearchDistancePoint{p.SearchDistance, agg.CaptureRatio, agg.ChangedNodes})
+		}
+		tbl := SearchDistanceTable(points).String()
+		if !strings.Contains(tbl, "search distance") || !strings.Contains(tbl, "changed nodes") {
+			t.Errorf("table = %q", tbl)
 		}
 	}
-	tbl := SearchDistanceTable(points).String()
-	if !strings.Contains(tbl, "search distance") || !strings.Contains(tbl, "changed nodes") {
-		t.Errorf("table = %q", tbl)
+}
+
+// runCell is the single-cell reference a batched sweep point must equal.
+func runCell(t *testing.T, spec Spec) *Aggregate {
+	t.Helper()
+	agg, err := Run(spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return agg
+}
+
+// samePoint requires a batched sweep point to equal the point built from
+// a single-cell Run of the same spec: one-call batching moves no number.
+func samePoint(t *testing.T, workers int, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=%d: batched point %+v, single-cell Run gives %+v", workers, got, want)
 	}
 }
 
@@ -65,23 +89,31 @@ func TestAttackerSweepMonotoneInStrength(t *testing.T) {
 }
 
 func TestLossModelSweep(t *testing.T) {
-	points, err := LossModelSweep(5, 2, 2, 9, 0, []string{"bernoulli:0.050", "ideal"})
-	if err != nil {
-		t.Fatalf("LossModelSweep: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	// Input order, labelled with the canonical spec.
-	if points[0].Model != "bernoulli:0.05" || points[1].Model != "ideal" {
-		t.Errorf("order = %s, %s", points[0].Model, points[1].Model)
+	for _, workers := range []int{1, 4} {
+		points, err := LossModelSweep(5, 2, 2, 9, workers, []string{"bernoulli:0.050", "ideal"})
+		if err != nil {
+			t.Fatalf("LossModelSweep: %v", err)
+		}
+		if len(points) != 2 {
+			t.Fatalf("points = %d", len(points))
+		}
+		// Input order, labelled with the canonical spec.
+		if points[0].Model != "bernoulli:0.05" || points[1].Model != "ideal" {
+			t.Errorf("order = %s, %s", points[0].Model, points[1].Model)
+		}
+		for _, p := range points {
+			cfg := core.DefaultSLP(2)
+			cfg.Channel = p.Model
+			agg := runCell(t, Spec{GridSize: 5, Config: cfg, Repeats: 2, BaseSeed: 9})
+			samePoint(t, workers, p, LossModelPoint{p.Model, agg.CaptureRatio, agg.ScheduleValid})
+		}
+		tbl := LossModelTable(points).String()
+		if !strings.Contains(tbl, "channel model") {
+			t.Errorf("table = %q", tbl)
+		}
 	}
 	if _, err := LossModelSweep(5, 2, 1, 9, 0, []string{"bernoulli:2"}); err == nil {
 		t.Error("bad channel spec accepted")
-	}
-	tbl := LossModelTable(points).String()
-	if !strings.Contains(tbl, "channel model") {
-		t.Errorf("table = %q", tbl)
 	}
 }
 
@@ -96,28 +128,35 @@ func TestLossModelSweepDefaults(t *testing.T) {
 }
 
 func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
-	points, err := StrategySweep(5, core.Default(), []string{"first-heard", "random-walk"}, []int{1, 2}, 2, 1, 0)
-	if err != nil {
-		t.Fatalf("StrategySweep: %v", err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("points = %d, want 4 (2 strategies x 2 counts)", len(points))
-	}
-	want := []struct {
-		s string
-		n int
-	}{{"first-heard", 1}, {"first-heard", 2}, {"random-walk", 1}, {"random-walk", 2}}
-	for i, p := range points {
-		if p.Strategy != want[i].s || p.Attackers != want[i].n {
-			t.Errorf("point %d = (%s, %d), want %+v", i, p.Strategy, p.Attackers, want[i])
+	for _, workers := range []int{1, 4} {
+		points, err := StrategySweep(5, core.Default(), []string{"first-heard", "random-walk"}, []int{1, 2}, 2, 1, workers)
+		if err != nil {
+			t.Fatalf("StrategySweep: %v", err)
 		}
-		if p.CaptureRatio.Trials != 2 {
-			t.Errorf("point %d trials = %d, want 2", i, p.CaptureRatio.Trials)
+		if len(points) != 4 {
+			t.Fatalf("points = %d, want 4 (2 strategies x 2 counts)", len(points))
 		}
-	}
-	tbl := StrategyTable(points)
-	if tbl.Len() != 4 {
-		t.Errorf("table rows = %d, want 4", tbl.Len())
+		want := []struct {
+			s string
+			n int
+		}{{"first-heard", 1}, {"first-heard", 2}, {"random-walk", 1}, {"random-walk", 2}}
+		for i, p := range points {
+			if p.Strategy != want[i].s || p.Attackers != want[i].n {
+				t.Errorf("point %d = (%s, %d), want %+v", i, p.Strategy, p.Attackers, want[i])
+			}
+			if p.CaptureRatio.Trials != 2 {
+				t.Errorf("point %d trials = %d, want 2", i, p.CaptureRatio.Trials)
+			}
+			cfg := core.Default()
+			cfg.Strategy = p.Strategy
+			cfg.AttackerCount = p.Attackers
+			agg := runCell(t, Spec{GridSize: 5, Config: cfg, Repeats: 2, BaseSeed: 1})
+			samePoint(t, workers, p, StrategyPoint{p.Strategy, p.Attackers, false, agg.CaptureRatio, agg.CapturePeriods})
+		}
+		tbl := StrategyTable(points)
+		if tbl.Len() != 4 {
+			t.Errorf("table rows = %d, want 4", tbl.Len())
+		}
 	}
 	// Defaulting pulls in the whole registry.
 	all, err := StrategySweep(5, core.Default(), nil, nil, 1, 1, 0)

@@ -2,14 +2,14 @@
 // repeated simulations across seeds (in parallel, each fully independent
 // and deterministic), aggregates capture ratio, capture time, message
 // overhead and schedule quality, and renders the series of Figure 5 and
-// the overhead comparison.
+// the overhead comparison. Its Execute is the repo's only executor: the
+// figure drivers here and the campaign engine above both run their
+// (cell, repeat) jobs through it.
 package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
@@ -51,69 +51,30 @@ func (s Spec) ResolveTopology() (*topo.Graph, topo.NodeID, topo.NodeID, error) {
 	return g, topo.GridCentre(s.GridSize), topo.GridTopLeft(), nil
 }
 
-// RunSingle executes one fully deterministic simulation of cfg on a
-// resolved topology at the given seed. It is the unit of work behind Run
-// and the campaign engine's shared worker pool.
-func RunSingle(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
-	net, err := core.NewNetwork(g, sink, source, cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	return net.Run()
-}
-
-// RunReusable is RunSingle over a caller-held reusable network slot: a nil
-// *net wires a fresh network into the slot, later calls rewind it with
-// Reset. A network that fails to reset (bad per-cell config) is discarded
-// — the slot is nilled — so the next run starts from clean wiring. This is
-// the single wire-or-reset policy shared by this package's workers and the
-// campaign engine's per-topology arenas.
-func RunReusable(net **core.Network, g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
-	if *net == nil {
-		n, err := core.NewNetwork(g, sink, source, cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		*net = n
-		return n.Run()
-	}
-	if err := (*net).Reset(cfg, seed); err != nil {
-		*net = nil
-		return nil, err
-	}
-	return (*net).Run()
-}
-
-// AggregateResults summarises already-computed per-run results of one
-// cell. Nil entries (failed runs) are skipped; callers account failures
-// separately. Exposed so external schedulers (internal/campaign) can run
-// repeats through their own pool and still share the aggregation logic.
-func AggregateResults(spec Spec, g *topo.Graph, results []*core.Result) *Aggregate {
-	return aggregate(spec, g, results)
-}
-
 // Accumulator folds the per-run Results of one cell into an Aggregate one
-// result at a time, in repeat order, so a scheduler can summarise a cell
-// without ever holding all of its Results in memory — the campaign
-// engine's streaming reduction feeds each result in as it arrives and
-// frees it immediately, which is what makes 10⁵–10⁶-node cells feasible
-// (one Result carries an n-sized slot assignment).
+// result at a time, in repeat order, so Execute can summarise a cell
+// without ever holding all of its Results in memory — each result is
+// folded as it arrives and freed immediately, which is what makes
+// 10⁵–10⁶-node campaign cells feasible (one Result carries an n-sized
+// slot assignment). An Accumulator is also a cell: Execute runs the
+// repeats its spec describes.
 //
-// With KeepResults set the accumulator retains every added Result and
-// finalises with the batch metrics.Summarize — bit-for-bit the historical
-// aggregate, for callers that walk Aggregate.Results afterwards (figure
-// rendering, the fig5a compat golden). Without it the series stream
-// through metrics.Stream: N, Mean, Min and Max stay byte-identical to the
-// batch path (Stream reproduces Summarize's exact operation order for
-// those), only Summary.Std's low bits may differ — and no row-level
-// campaign output renders Std.
+// This package's own drivers (Run, the figures and the ablations) keep
+// every added Result and finalise with the batch metrics.Summarize —
+// bit-for-bit the historical aggregate, for callers that walk
+// Aggregate.Results afterwards (figure rendering, the fig5a compat
+// golden). Accumulators from NewAccumulator stream instead, through
+// metrics.Stream: N, Mean, Min and Max stay byte-identical to the batch
+// path (Stream reproduces Summarize's exact operation order for those),
+// only Summary.Std's low bits may differ — and no row-level campaign
+// output renders Std.
 type Accumulator struct {
 	spec Spec
 	agg  *Aggregate
 
-	// KeepResults retains added Results on the Aggregate and switches
-	// finalisation to batch Summarize. Set it before the first Add.
-	KeepResults bool
+	// keepResults retains added Results on the Aggregate and switches
+	// finalisation to batch Summarize. Set before the first Add.
+	keepResults bool
 
 	capPeriods, ctrlMsgs, ctrlBytes, totMsgs, changed, deliveries, latency series
 	attackerMoves                                                          series
@@ -163,20 +124,20 @@ func NewAccumulator(spec Spec, g *topo.Graph) *Accumulator {
 }
 
 // Add folds one run's result in. Nil results (failed runs) are ignored;
-// callers account failures separately, as with AggregateResults. Results
+// callers account failures separately, as Execute does. Results
 // must be added in repeat order for byte-identical aggregates.
 func (a *Accumulator) Add(r *core.Result) {
 	if r == nil {
 		return
 	}
-	if a.KeepResults {
+	if a.keepResults {
 		a.agg.Results = append(a.agg.Results, r)
 	}
 	a.agg.CaptureRatio.Trials++
 	a.agg.ScheduleValid.Trials++
 	if r.Captured {
 		a.agg.CaptureRatio.Successes++
-		a.capPeriods.add(r.CapturePeriods, a.KeepResults)
+		a.capPeriods.add(r.CapturePeriods, a.keepResults)
 	}
 	if r.ScheduleValid() {
 		a.agg.ScheduleValid.Successes++
@@ -187,47 +148,47 @@ func (a *Accumulator) Add(r *core.Result) {
 			a.agg.SearchSucceeded.Successes++
 		}
 	}
-	a.ctrlMsgs.add(float64(r.ControlMessages()), a.KeepResults)
-	a.ctrlBytes.add(float64(r.ControlBytes()), a.KeepResults)
-	a.totMsgs.add(float64(r.TotalMessages()), a.KeepResults)
-	a.changed.add(float64(r.ChangedNodes), a.KeepResults)
-	a.deliveries.add(float64(r.SourceDeliveries), a.KeepResults)
+	a.ctrlMsgs.add(float64(r.ControlMessages()), a.keepResults)
+	a.ctrlBytes.add(float64(r.ControlBytes()), a.keepResults)
+	a.totMsgs.add(float64(r.TotalMessages()), a.keepResults)
+	a.changed.add(float64(r.ChangedNodes), a.keepResults)
+	a.deliveries.add(float64(r.SourceDeliveries), a.keepResults)
 	if l := r.MeanDeliveryLatency(); l >= 0 {
-		a.latency.add(l, a.KeepResults)
+		a.latency.add(l, a.keepResults)
 	}
 	if len(r.AttackerMoves) > 0 {
 		var moves int
 		for _, m := range r.AttackerMoves {
 			moves += m
 		}
-		a.attackerMoves.add(float64(moves)/float64(len(r.AttackerMoves)), a.KeepResults)
+		a.attackerMoves.add(float64(moves)/float64(len(r.AttackerMoves)), a.keepResults)
 	}
-	a.nodesFailed.add(float64(r.NodesFailed), a.KeepResults)
-	a.nodesRecovered.add(float64(r.NodesRecovered), a.KeepResults)
+	a.nodesFailed.add(float64(r.NodesFailed), a.keepResults)
+	a.nodesRecovered.add(float64(r.NodesRecovered), a.keepResults)
 	// RepairPeriods is -1 when no repair was observed (always, for
 	// fault-free runs); like latency, only observed repairs are averaged.
 	if r.RepairPeriods >= 0 {
-		a.repair.add(r.RepairPeriods, a.KeepResults)
+		a.repair.add(r.RepairPeriods, a.keepResults)
 	}
-	a.delivBefore.add(r.DeliveryBefore, a.KeepResults)
-	a.delivDuring.add(r.DeliveryDuring, a.KeepResults)
-	a.delivAfter.add(r.DeliveryAfter, a.KeepResults)
+	a.delivBefore.add(r.DeliveryBefore, a.keepResults)
+	a.delivDuring.add(r.DeliveryDuring, a.keepResults)
+	a.delivAfter.add(r.DeliveryAfter, a.keepResults)
 	a.agg.Partitions.Trials++
 	if r.PartitionDetected {
 		a.agg.Partitions.Successes++
 	}
-	a.captureWins.add(float64(r.RadioStats.CaptureWins), a.KeepResults)
-	a.energyTotal.add(r.EnergyTotalMJ, a.KeepResults)
-	a.energyMax.add(r.EnergyMaxMJ, a.KeepResults)
-	a.energyDeaths.add(float64(r.EnergyDeaths), a.KeepResults)
+	a.captureWins.add(float64(r.RadioStats.CaptureWins), a.keepResults)
+	a.energyTotal.add(r.EnergyTotalMJ, a.keepResults)
+	a.energyMax.add(r.EnergyMaxMJ, a.keepResults)
+	a.energyDeaths.add(float64(r.EnergyDeaths), a.keepResults)
 	// FirstDeathPeriod and LifetimePeriods are -1 sentinels for energy-off
 	// runs (and, for first death, runs where no battery ran out); like
 	// latency and repair, only observed values are averaged.
 	if r.FirstDeathPeriod >= 0 {
-		a.firstDeath.add(r.FirstDeathPeriod, a.KeepResults)
+		a.firstDeath.add(r.FirstDeathPeriod, a.keepResults)
 	}
 	if r.LifetimePeriods >= 0 {
-		a.lifetime.add(r.LifetimePeriods, a.KeepResults)
+		a.lifetime.add(r.LifetimePeriods, a.keepResults)
 	}
 	//lint:ignore mapiter independent per-type series updates, order-free
 	for t, s := range r.Messages {
@@ -236,35 +197,35 @@ func (a *Accumulator) Add(r *core.Result) {
 			bt = &series{}
 			a.byType[t] = bt
 		}
-		bt.add(float64(s.Count), a.KeepResults)
+		bt.add(float64(s.Count), a.keepResults)
 	}
 }
 
 // Finalize summarises everything added so far and returns the aggregate.
 func (a *Accumulator) Finalize() *Aggregate {
-	a.agg.CapturePeriods = a.capPeriods.summary(a.KeepResults)
-	a.agg.ControlMessages = a.ctrlMsgs.summary(a.KeepResults)
-	a.agg.ControlBytes = a.ctrlBytes.summary(a.KeepResults)
-	a.agg.TotalMessages = a.totMsgs.summary(a.KeepResults)
-	a.agg.ChangedNodes = a.changed.summary(a.KeepResults)
-	a.agg.SourceDeliveries = a.deliveries.summary(a.KeepResults)
-	a.agg.DeliveryLatency = a.latency.summary(a.KeepResults)
-	a.agg.AttackerMoves = a.attackerMoves.summary(a.KeepResults)
-	a.agg.NodesFailed = a.nodesFailed.summary(a.KeepResults)
-	a.agg.NodesRecovered = a.nodesRecovered.summary(a.KeepResults)
-	a.agg.RepairPeriods = a.repair.summary(a.KeepResults)
-	a.agg.DeliveryBefore = a.delivBefore.summary(a.KeepResults)
-	a.agg.DeliveryDuring = a.delivDuring.summary(a.KeepResults)
-	a.agg.DeliveryAfter = a.delivAfter.summary(a.KeepResults)
-	a.agg.CaptureWins = a.captureWins.summary(a.KeepResults)
-	a.agg.EnergyTotal = a.energyTotal.summary(a.KeepResults)
-	a.agg.EnergyMax = a.energyMax.summary(a.KeepResults)
-	a.agg.EnergyDeaths = a.energyDeaths.summary(a.KeepResults)
-	a.agg.FirstDeathPeriod = a.firstDeath.summary(a.KeepResults)
-	a.agg.LifetimePeriods = a.lifetime.summary(a.KeepResults)
+	a.agg.CapturePeriods = a.capPeriods.summary(a.keepResults)
+	a.agg.ControlMessages = a.ctrlMsgs.summary(a.keepResults)
+	a.agg.ControlBytes = a.ctrlBytes.summary(a.keepResults)
+	a.agg.TotalMessages = a.totMsgs.summary(a.keepResults)
+	a.agg.ChangedNodes = a.changed.summary(a.keepResults)
+	a.agg.SourceDeliveries = a.deliveries.summary(a.keepResults)
+	a.agg.DeliveryLatency = a.latency.summary(a.keepResults)
+	a.agg.AttackerMoves = a.attackerMoves.summary(a.keepResults)
+	a.agg.NodesFailed = a.nodesFailed.summary(a.keepResults)
+	a.agg.NodesRecovered = a.nodesRecovered.summary(a.keepResults)
+	a.agg.RepairPeriods = a.repair.summary(a.keepResults)
+	a.agg.DeliveryBefore = a.delivBefore.summary(a.keepResults)
+	a.agg.DeliveryDuring = a.delivDuring.summary(a.keepResults)
+	a.agg.DeliveryAfter = a.delivAfter.summary(a.keepResults)
+	a.agg.CaptureWins = a.captureWins.summary(a.keepResults)
+	a.agg.EnergyTotal = a.energyTotal.summary(a.keepResults)
+	a.agg.EnergyMax = a.energyMax.summary(a.keepResults)
+	a.agg.EnergyDeaths = a.energyDeaths.summary(a.keepResults)
+	a.agg.FirstDeathPeriod = a.firstDeath.summary(a.keepResults)
+	a.agg.LifetimePeriods = a.lifetime.summary(a.keepResults)
 	//lint:ignore mapiter map-to-map copy keyed by the same key, order-free
 	for t, s := range a.byType {
-		a.agg.MessagesByType[t] = s.summary(a.KeepResults)
+		a.agg.MessagesByType[t] = s.summary(a.keepResults)
 	}
 	return a.agg
 }
@@ -330,75 +291,16 @@ type Aggregate struct {
 	Results  []*core.Result
 }
 
-// Run executes the spec: Repeats independent simulations on distinct
-// seeds, in parallel. Every run that errors is counted and the first
-// error is returned alongside the aggregate of the successful runs.
+// Run executes the spec as a one-cell Execute call: Repeats independent
+// simulations on seeds BaseSeed + r, in parallel. Every run that errors
+// is counted and the lowest-repeat error is returned alongside the
+// aggregate of the successful runs.
 func Run(spec Spec) (*Aggregate, error) {
-	if spec.Repeats <= 0 {
-		return nil, fmt.Errorf("experiment: repeats must be positive, got %d", spec.Repeats)
-	}
-	g, sink, source, err := spec.ResolveTopology()
-	if err != nil {
+	aggs, err := runBatch([]Spec{spec}, spec.Workers, func(int) string { return "" })
+	if aggs == nil {
 		return nil, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Repeats {
-		workers = spec.Repeats
-	}
-
-	results := make([]*core.Result, spec.Repeats)
-	errs := make([]error, spec.Repeats)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Arena: each worker wires one network on its first repeat and
-			// replays it via Reset for the rest — Reset is pinned to produce
-			// results identical to a fresh NewNetwork, so output stays a pure
-			// function of the spec regardless of worker count.
-			var net *core.Network
-			for r := range jobs {
-				seed := spec.BaseSeed + uint64(r)
-				res, err := RunReusable(&net, g, sink, source, spec.Config, seed)
-				if err != nil {
-					errs[r] = fmt.Errorf("experiment: seed %d: %w", seed, err)
-					continue
-				}
-				results[r] = res
-			}
-		}()
-	}
-	for r := 0; r < spec.Repeats; r++ {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-
-	agg := aggregate(spec, g, results)
-	var firstErr error
-	for _, e := range errs {
-		if e != nil {
-			agg.Failures++
-			if firstErr == nil {
-				firstErr = e
-			}
-		}
-	}
-	return agg, firstErr
-}
-
-func aggregate(spec Spec, g *topo.Graph, results []*core.Result) *Aggregate {
-	acc := NewAccumulator(spec, g)
-	acc.KeepResults = true
-	for _, r := range results {
-		acc.Add(r)
-	}
-	return acc.Finalize()
+	return aggs[0], err
 }
 
 // protocolLabel names the configured routing family for aggregates,

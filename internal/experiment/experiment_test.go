@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slpdas/internal/core"
@@ -141,22 +145,38 @@ func TestReductionMath(t *testing.T) {
 }
 
 func TestOverheadComparison(t *testing.T) {
-	o, err := RunOverhead(5, 2, 4, 21, 0)
-	if err != nil {
-		t.Fatalf("RunOverhead: %v", err)
-	}
-	tbl := o.Table().String()
-	for _, want := range []string{"HELLO", "DISSEM", "SEARCH", "CHANGE", "CONTROL TOTAL", "DATA (msgs/period)"} {
-		if !strings.Contains(tbl, want) {
-			t.Errorf("overhead table missing %q:\n%s", want, tbl)
+	for _, workers := range []int{1, 4} {
+		o, err := RunOverhead(5, 2, 4, 21, workers)
+		if err != nil {
+			t.Fatalf("RunOverhead: %v", err)
 		}
-	}
-	// Protectionless sends no SEARCH or CHANGE at all.
-	if s := o.Protectionless.MessagesByType[wire.TypeSearch]; s.Mean != 0 {
-		t.Errorf("protectionless sent SEARCH: %v", s)
-	}
-	if c := o.Protectionless.MessagesByType[wire.TypeChange]; c.Mean != 0 {
-		t.Errorf("protectionless sent CHANGE: %v", c)
+		tbl := o.Table().String()
+		for _, want := range []string{"HELLO", "DISSEM", "SEARCH", "CHANGE", "CONTROL TOTAL", "DATA (msgs/period)"} {
+			if !strings.Contains(tbl, want) {
+				t.Errorf("overhead table missing %q:\n%s", want, tbl)
+			}
+		}
+		// Protectionless sends no SEARCH or CHANGE at all.
+		if s := o.Protectionless.MessagesByType[wire.TypeSearch]; s.Mean != 0 {
+			t.Errorf("protectionless sent SEARCH: %v", s)
+		}
+		if c := o.Protectionless.MessagesByType[wire.TypeChange]; c.Mean != 0 {
+			t.Errorf("protectionless sent CHANGE: %v", c)
+		}
+		// One-call batching moves no number: each side equals a
+		// single-cell Run of its spec, Results included.
+		for _, side := range []struct {
+			got *Aggregate
+			cfg core.Config
+		}{{o.Protectionless, core.Default()}, {o.SLP, core.DefaultSLP(2)}} {
+			want, err := Run(Spec{GridSize: 5, Config: side.cfg, Repeats: 4, BaseSeed: 21})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !reflect.DeepEqual(side.got, want) {
+				t.Errorf("workers=%d: batched %s aggregate differs from a single-cell Run", workers, want.Protocol)
+			}
+		}
 	}
 }
 
@@ -178,6 +198,69 @@ func TestAggregateMessageTypesSorted(t *testing.T) {
 	for i := 1; i < len(types); i++ {
 		if types[i-1] >= types[i] {
 			t.Errorf("types not sorted: %v", types)
+		}
+	}
+}
+
+// TestExecuteFailureAccounting drives Execute through its run seam: three
+// cells whose repeats 1 and 4 fail must each count two failures, report
+// the lowest failing repeat's error, aggregate only the four successes
+// (Results in repeat order) and reach emit in cell order — also when
+// cell 0 is the slowest, its last repeat held until every run of the
+// later cells has finished.
+func TestExecuteFailureAccounting(t *testing.T) {
+	g, err := topo.DefaultGrid(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	const repeats = 6
+	for _, workers := range []int{1, 4} {
+		var later atomic.Int32
+		release := make(chan struct{})
+		exec := func(g *topo.Graph, _, _ topo.NodeID, _ core.Config, seed uint64) (*core.Result, error) {
+			cell, rep := seed/100, seed%100
+			if cell > 0 && later.Add(1) == 2*repeats {
+				close(release)
+			}
+			if cell == 0 && rep == repeats-1 && workers > 1 {
+				<-release
+			}
+			if rep == 1 || rep == 4 {
+				return nil, fmt.Errorf("repeat %d: %w", rep, boom)
+			}
+			return &core.Result{Seed: seed, Nodes: g.Len(), Captured: rep%2 == 0}, nil
+		}
+		cells := make([]*Accumulator, 3)
+		for c := range cells {
+			cells[c] = NewAccumulator(Spec{Topology: g, Sink: 4, Source: 0, Config: core.Default(), Repeats: repeats, BaseSeed: uint64(100 * c)}, g)
+			cells[c].keepResults = true
+		}
+		var order []int
+		err := Execute(cells, workers, exec, func(c int, agg *Aggregate, err error) error {
+			order = append(order, c)
+			base := uint64(100 * c)
+			if want := fmt.Sprintf("seed %d: repeat 1: boom", base+1); err == nil || err.Error() != want || !errors.Is(err, boom) {
+				t.Errorf("workers=%d cell %d: err = %v, want %q wrapping boom", workers, c, err, want)
+			}
+			if agg.Failures != 2 || agg.CaptureRatio.Trials != 4 || agg.CaptureRatio.Successes != 2 {
+				t.Errorf("workers=%d cell %d: failures=%d trials=%d captures=%d, want 2, 4, 2",
+					workers, c, agg.Failures, agg.CaptureRatio.Trials, agg.CaptureRatio.Successes)
+			}
+			var seeds []uint64
+			for _, r := range agg.Results {
+				seeds = append(seeds, r.Seed)
+			}
+			if want := []uint64{base, base + 2, base + 3, base + 5}; !reflect.DeepEqual(seeds, want) {
+				t.Errorf("workers=%d cell %d: result seeds = %v, want %v", workers, c, seeds, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: Execute: %v", workers, err)
+		}
+		if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+			t.Errorf("workers=%d: emit order = %v, want [0 1 2]", workers, order)
 		}
 	}
 }

@@ -47,23 +47,28 @@ type Figure5Spec struct {
 	Workers        int
 }
 
-// RunFigure5 executes the full sweep.
+// RunFigure5 executes the full sweep as one batch: every size's
+// protectionless and SLP cells share the pool, on seeds BaseSeed + r
+// (common random numbers across points).
 func RunFigure5(spec Figure5Spec) (*Figure5, error) {
 	if len(spec.GridSizes) == 0 {
 		spec.GridSizes = []int{11, 15, 21}
 	}
-	fig := &Figure5{SearchDistance: spec.SearchDistance}
+	specs := make([]Spec, 0, 2*len(spec.GridSizes))
 	for _, size := range spec.GridSizes {
-		protCfg := core.Default()
-		slpCfg := core.DefaultSLP(spec.SearchDistance)
-		prot, err := Run(Spec{GridSize: size, Config: protCfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed, Workers: spec.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig5 size %d protectionless: %w", size, err)
+		for _, cfg := range []core.Config{core.Default(), core.DefaultSLP(spec.SearchDistance)} {
+			specs = append(specs, Spec{GridSize: size, Config: cfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed})
 		}
-		slp, err := Run(Spec{GridSize: size, Config: slpCfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed, Workers: spec.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig5 size %d slp: %w", size, err)
-		}
+	}
+	aggs, err := runBatch(specs, spec.Workers, func(i int) string {
+		return fmt.Sprintf("fig5 size %d %s", specs[i].GridSize, [2]string{"protectionless", "slp"}[i%2])
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure5{SearchDistance: spec.SearchDistance}
+	for i, size := range spec.GridSizes {
+		prot, slp := aggs[2*i], aggs[2*i+1]
 		fig.Points = append(fig.Points, Figure5Point{
 			GridSize:          size,
 			Protectionless:    prot.CaptureRatio,
@@ -102,17 +107,19 @@ type OverheadComparison struct {
 	SLP            *Aggregate
 }
 
-// RunOverhead measures both protocols on one grid size.
+// RunOverhead measures both protocols on one grid size, as one batch.
 func RunOverhead(size, searchDistance, repeats int, baseSeed uint64, workers int) (*OverheadComparison, error) {
-	prot, err := Run(Spec{GridSize: size, Config: core.Default(), Repeats: repeats, BaseSeed: baseSeed, Workers: workers})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: overhead protectionless: %w", err)
+	specs := []Spec{
+		{GridSize: size, Config: core.Default(), Repeats: repeats, BaseSeed: baseSeed},
+		{GridSize: size, Config: core.DefaultSLP(searchDistance), Repeats: repeats, BaseSeed: baseSeed},
 	}
-	slp, err := Run(Spec{GridSize: size, Config: core.DefaultSLP(searchDistance), Repeats: repeats, BaseSeed: baseSeed, Workers: workers})
+	aggs, err := runBatch(specs, workers, func(i int) string {
+		return [2]string{"overhead protectionless", "overhead slp"}[i]
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: overhead slp: %w", err)
+		return nil, err
 	}
-	return &OverheadComparison{GridSize: size, Protectionless: prot, SLP: slp}, nil
+	return &OverheadComparison{GridSize: size, Protectionless: aggs[0], SLP: aggs[1]}, nil
 }
 
 // Table renders mean per-run control message counts by type, the per-
